@@ -4,9 +4,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use galloper_erasure::stream::{AlignedBuf, StreamError, StripeDecoder, StripeEncoder};
-use galloper_erasure::{
-    AsLinearCode, CodeError, ErasureCode, ObjectCodec, ObjectManifest, ReadStats,
-};
+use galloper_erasure::{AsLinearCode, CodeError, ErasureCode, ObjectCodec, ObjectManifest};
 use galloper_obs::{global, op, Histogram, OpContext};
 
 use crate::faults::{self, Fault, FaultPlan, TimedFault};
@@ -232,8 +230,7 @@ pub struct DrainReport {
 }
 
 /// What to read and how hard to try: the single configuration for
-/// [`Dfs::read`], replacing the historical `get` / `get_with_retry` /
-/// `read_range*` method family.
+/// [`Dfs::read`].
 ///
 /// ```
 /// use galloper_dfs::ReadOptions;
@@ -280,9 +277,7 @@ impl ReadOptions {
 }
 
 /// Per-read accounting returned by [`Dfs::read`] — one shape for every
-/// read, where the historical API returned bare bytes, `(bytes,
-/// attempts)` tuples, or `(bytes, ReadStats)` pairs depending on the
-/// method.
+/// read, whole-file or range, with or without retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct ReadReport {
@@ -498,13 +493,14 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         self.clock
     }
 
-    /// How often a blocked operation retries before giving up; also the
-    /// per-entry requeue budget of [`Dfs::drain_repairs`].
+    /// The per-entry requeue budget of [`Dfs::drain_repairs`] — also the
+    /// retry budget to hand [`ReadOptions::with_retries`] for reads that
+    /// should wait out outages as patiently as repair does.
     pub fn retry_limit(&self) -> usize {
         self.retry_limit
     }
 
-    /// Overrides the retry budget (see [`Dfs::get_with_retry`]).
+    /// Overrides the retry budget (see [`Dfs::retry_limit`]).
     pub fn set_retry_limit(&mut self, retries: usize) {
         self.retry_limit = retries;
     }
@@ -528,79 +524,27 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         &self.stores[server]
     }
 
-    /// Stores a file.
+    /// Stores a file: [`Dfs::put_begin`], [`Dfs::put_append`] and
+    /// [`Dfs::put_commit`] in one call, through the same write path.
+    /// Whole messages encode straight out of `data`, with no staging
+    /// copy.
     ///
     /// # Errors
     ///
     /// [`DfsError::AlreadyExists`] for duplicate names;
     /// [`DfsError::Store`] when a block store rejects a write; coding
-    /// errors are impossible here but propagated defensively.
+    /// errors are impossible here but propagated defensively. A failed
+    /// put leaves no blocks behind, and its [`FileId`] is not reused.
     pub fn put(&mut self, name: &str, data: &[u8]) -> Result<FileId, DfsError> {
         let mut scope = OpScope::new("dfs.put", "put", name, "dfs.op.put_us");
         scope.report.bytes_in = data.len() as u64;
-        let res = self.put_inner(name, data, &mut scope.report);
-        scope.finish(res.is_ok());
-        res
-    }
-
-    fn put_inner(
-        &mut self,
-        name: &str,
-        data: &[u8],
-        report: &mut op::OpReport,
-    ) -> Result<FileId, DfsError> {
-        if self.files.contains_key(name) || self.open_puts.contains_key(name) {
-            return Err(DfsError::AlreadyExists(name.to_string()));
+        let res = self.put_begin(name).and_then(|_| self.commit(name, data));
+        if let Ok((_, stored)) = res {
+            scope.report.bytes_out = stored;
+            scope.report.stripes = self.files[name].manifest.num_groups as u64;
         }
-        let id = FileId(self.next_id);
-        // Stream the object through the code one coding group at a time:
-        // each group is placed and stored as soon as it is encoded, and
-        // the driver's buffer pool recycles the block buffers, so only
-        // one group of codec memory is ever in flight. The fields are
-        // split so the sink can write `stores` while the encoder borrows
-        // the code.
-        let Dfs {
-            codec,
-            health,
-            stores,
-            ..
-        } = self;
-        let mut placements: Vec<Vec<usize>> = Vec::new();
-        let mut bytes_stored = 0u64;
-        let sink = |g: usize, blocks: &[AlignedBuf]| -> Result<(), DfsError> {
-            let servers = place_group(health, stores, blocks.len(), id.0 + g)?;
-            for (b, block) in blocks.iter().enumerate() {
-                block_bytes_hist().record(block.len() as u64);
-                bytes_stored += block.len() as u64;
-                stores[servers[b]].put_block(BlockKey::new(id.0 as u64, g, b), block)?;
-            }
-            placements.push(servers);
-            Ok(())
-        };
-        let mut encoder = StripeEncoder::new(codec.code(), sink);
-        // Whole messages encode straight out of `data` (no staging copy);
-        // only the ragged tail is staged and padded.
-        let message_len = codec.code().message_len();
-        let whole = data.chunks_exact(message_len);
-        let tail = whole.remainder();
-        let msgs: Vec<&[u8]> = whole.collect();
-        encoder.push_messages(&msgs).map_err(put_error)?;
-        encoder.push(tail).map_err(put_error)?;
-        let (manifest, _) = encoder.finish().map_err(put_error)?;
-        global().counter("dfs.bytes_written").add(bytes_stored);
-        report.bytes_out = bytes_stored;
-        report.stripes = manifest.num_groups as u64;
-        self.next_id += 1;
-        self.files.insert(
-            name.to_string(),
-            FileMeta {
-                id,
-                name: name.to_string(),
-                manifest,
-                placements,
-            },
-        );
-        Ok(id)
+        scope.finish(res.is_ok());
+        res.map(|(id, _)| id)
     }
 
     /// Opens a chunked upload: the streaming sibling of [`Dfs::put`]
@@ -645,62 +589,11 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
     /// # Errors
     ///
     /// [`DfsError::NotFound`] if no upload with this name is open;
-    /// placement/store/coding failures as [`Dfs::put`]. After an error
-    /// the upload should be [`Dfs::put_abort`]ed.
+    /// placement/store/coding failures as [`Dfs::put`]. A failed append
+    /// reclaims the blocks it stored and leaves the upload as it was;
+    /// the caller should then [`Dfs::put_abort`] it.
     pub fn put_append(&mut self, name: &str, data: &[u8]) -> Result<(), DfsError> {
-        let Dfs {
-            codec,
-            health,
-            stores,
-            open_puts,
-            ..
-        } = self;
-        let open = open_puts
-            .get_mut(name)
-            .ok_or_else(|| DfsError::NotFound(name.to_string()))?;
-        let message_len = codec.code().message_len();
-        let whole = (open.stage.len() + data.len()) / message_len * message_len;
-        if whole == 0 {
-            open.stage.extend_from_slice(data);
-            open.meta.manifest.object_len += data.len();
-            return Ok(());
-        }
-        // Bytes of `data` that complete whole messages; the staged
-        // remainder is always shorter than one message, so a nonzero
-        // `whole` consumes all of it.
-        let consume = whole - open.stage.len();
-        let boundary = ((message_len - open.stage.len() % message_len) % message_len).min(consume);
-        let id = open.meta.id;
-        let first_group = open.meta.manifest.num_groups;
-        let mut bytes_stored = 0u64;
-        let num_groups = {
-            let placements = &mut open.meta.placements;
-            let sink = |g: usize, blocks: &[AlignedBuf]| -> Result<(), DfsError> {
-                let servers = place_group(health, stores, blocks.len(), id.0 + g)?;
-                for (b, block) in blocks.iter().enumerate() {
-                    block_bytes_hist().record(block.len() as u64);
-                    bytes_stored += block.len() as u64;
-                    stores[servers[b]].put_block(BlockKey::new(id.0 as u64, g, b), block)?;
-                }
-                placements.push(servers);
-                Ok(())
-            };
-            let mut encoder = StripeEncoder::new(codec.code(), sink).with_first_group(first_group);
-            // Complete the staged message first, then encode the
-            // remaining whole messages straight out of `data`.
-            encoder.push(&open.stage).map_err(put_error)?;
-            encoder.push(&data[..boundary]).map_err(put_error)?;
-            let msgs: Vec<&[u8]> = data[boundary..consume].chunks_exact(message_len).collect();
-            encoder.push_messages(&msgs).map_err(put_error)?;
-            let (manifest, _) = encoder.finish().map_err(put_error)?;
-            manifest.num_groups
-        };
-        global().counter("dfs.bytes_written").add(bytes_stored);
-        open.meta.manifest.num_groups = num_groups;
-        open.meta.manifest.object_len += data.len();
-        open.stage.clear();
-        open.stage.extend_from_slice(&data[consume..]);
-        Ok(())
+        self.write_groups(name, data, false).map(|_| ())
     }
 
     /// Seals an open upload: pads and stores the ragged tail (an empty
@@ -715,55 +608,7 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
     /// upload is destroyed and its stored blocks are reclaimed
     /// best-effort.
     pub fn put_commit(&mut self, name: &str) -> Result<FileId, DfsError> {
-        if !self.open_puts.contains_key(name) {
-            return Err(DfsError::NotFound(name.to_string()));
-        }
-        let res = self.put_commit_inner(name);
-        if res.is_err() {
-            self.put_abort(name);
-        }
-        res
-    }
-
-    fn put_commit_inner(&mut self, name: &str) -> Result<FileId, DfsError> {
-        let Dfs {
-            codec,
-            health,
-            stores,
-            open_puts,
-            files,
-            ..
-        } = self;
-        let open = open_puts.get_mut(name).expect("checked by put_commit");
-        let id = open.meta.id;
-        if !open.stage.is_empty() || open.meta.manifest.object_len == 0 {
-            let first_group = open.meta.manifest.num_groups;
-            let mut bytes_stored = 0u64;
-            let num_groups = {
-                let placements = &mut open.meta.placements;
-                let sink = |g: usize, blocks: &[AlignedBuf]| -> Result<(), DfsError> {
-                    let servers = place_group(health, stores, blocks.len(), id.0 + g)?;
-                    for (b, block) in blocks.iter().enumerate() {
-                        block_bytes_hist().record(block.len() as u64);
-                        bytes_stored += block.len() as u64;
-                        stores[servers[b]].put_block(BlockKey::new(id.0 as u64, g, b), block)?;
-                    }
-                    placements.push(servers);
-                    Ok(())
-                };
-                let mut encoder =
-                    StripeEncoder::new(codec.code(), sink).with_first_group(first_group);
-                encoder.push(&open.stage).map_err(put_error)?;
-                let (manifest, _) = encoder.finish().map_err(put_error)?;
-                manifest.num_groups
-            };
-            global().counter("dfs.bytes_written").add(bytes_stored);
-            open.meta.manifest.num_groups = num_groups;
-            open.stage.clear();
-        }
-        let open = open_puts.remove(name).expect("still open");
-        files.insert(name.to_string(), open.meta);
-        Ok(id)
+        self.commit(name, &[]).map(|(id, _)| id)
     }
 
     /// Destroys an open upload, reclaiming its stored blocks
@@ -771,16 +616,131 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
     /// blocks are unreachable garbage, not a correctness hazard).
     /// Returns whether an upload with this name was open.
     pub fn put_abort(&mut self, name: &str) -> bool {
-        let Some(open) = self.open_puts.remove(name) else {
-            return false;
-        };
-        for (g, servers) in open.meta.placements.iter().enumerate() {
-            for (b, &server) in servers.iter().enumerate() {
-                let _ =
-                    self.stores[server].delete_block(BlockKey::new(open.meta.id.0 as u64, g, b));
+        self.reclaim(name, 0);
+        self.open_puts.remove(name).is_some()
+    }
+
+    /// Stores `data` and the padded tail of an open upload and publishes
+    /// it, returning its id and the bytes this call stored. On failure
+    /// the upload is destroyed and every block it stored is reclaimed.
+    fn commit(&mut self, name: &str, data: &[u8]) -> Result<(FileId, u64), DfsError> {
+        match self.write_groups(name, data, true) {
+            Ok(stored) => {
+                let open = self.open_puts.remove(name).expect("written above");
+                let id = open.meta.id;
+                self.files.insert(name.to_string(), open.meta);
+                Ok((id, stored))
+            }
+            Err(e) => {
+                self.put_abort(name);
+                Err(e)
             }
         }
-        true
+    }
+
+    /// The one write path: encodes an open upload's staged remainder
+    /// followed by `data`, placing and storing every coding group that
+    /// completes, and returns the bytes stored. With `seal`, the ragged
+    /// tail is padded and stored too; without it, the sub-message tail
+    /// is staged for the next call.
+    ///
+    /// Every group's placement is recorded before its first block
+    /// write, so on any error this call reclaims every block it stored
+    /// — a partly written group included — and leaves the upload as it
+    /// was before the call.
+    fn write_groups(&mut self, name: &str, data: &[u8], seal: bool) -> Result<u64, DfsError> {
+        let first_group = self
+            .open_puts
+            .get(name)
+            .ok_or_else(|| DfsError::NotFound(name.to_string()))?
+            .meta
+            .manifest
+            .num_groups;
+        let res = self.encode_groups(name, data, seal);
+        if res.is_err() {
+            self.reclaim(name, first_group);
+        }
+        res
+    }
+
+    /// The body of [`Dfs::write_groups`], minus its failure policy.
+    fn encode_groups(&mut self, name: &str, data: &[u8], seal: bool) -> Result<u64, DfsError> {
+        // Groups stream through the code one at a time: each is placed
+        // and stored as soon as it is encoded, and the encoder's pool
+        // recycles the block buffers, so one group of codec memory is in
+        // flight. The fields are split so the sink can write `stores`
+        // while the encoder borrows the code.
+        let Dfs {
+            codec,
+            health,
+            stores,
+            open_puts,
+            ..
+        } = self;
+        let open = open_puts.get_mut(name).expect("checked by write_groups");
+        let message_len = codec.code().message_len();
+        let staged = open.stage.len();
+        // Bytes of `data` to encode now: all of them when sealing, else
+        // those that complete whole messages. The staged remainder is
+        // always shorter than one message, so any whole message
+        // consumes all of it.
+        let consume = if seal {
+            data.len()
+        } else {
+            ((staged + data.len()) / message_len * message_len).saturating_sub(staged)
+        };
+        if consume == 0 && !seal {
+            open.stage.extend_from_slice(data);
+            open.meta.manifest.object_len += data.len();
+            return Ok(0);
+        }
+        // `data[..boundary]` completes the staged message; the whole
+        // messages after it encode straight out of `data`, and only the
+        // ragged tail (when sealing) is staged and padded.
+        let boundary = ((message_len - staged) % message_len).min(consume);
+        let whole = data[boundary..consume].chunks_exact(message_len);
+        let tail = whole.remainder();
+        let msgs: Vec<&[u8]> = whole.collect();
+        let id = open.meta.id;
+        let placements = &mut open.meta.placements;
+        let mut bytes_stored = 0u64;
+        let sink = |g: usize, blocks: &[AlignedBuf]| -> Result<(), DfsError> {
+            placements.push(place_group(health, stores, blocks.len(), id.0 + g)?);
+            let servers = placements.last().expect("just placed");
+            for (b, block) in blocks.iter().enumerate() {
+                block_bytes_hist().record(block.len() as u64);
+                bytes_stored += block.len() as u64;
+                stores[servers[b]].put_block(BlockKey::new(id.0 as u64, g, b), block)?;
+            }
+            Ok(())
+        };
+        let mut encoder =
+            StripeEncoder::new(codec.code(), sink).with_first_group(open.meta.manifest.num_groups);
+        encoder.push(&open.stage).map_err(put_error)?;
+        encoder.push(&data[..boundary]).map_err(put_error)?;
+        encoder.push_messages(&msgs).map_err(put_error)?;
+        encoder.push(tail).map_err(put_error)?;
+        let (manifest, _) = encoder.finish().map_err(put_error)?;
+        global().counter("dfs.bytes_written").add(bytes_stored);
+        open.meta.manifest.num_groups = manifest.num_groups;
+        open.meta.manifest.object_len += data.len();
+        open.stage.clear();
+        open.stage.extend_from_slice(&data[consume..]);
+        Ok(bytes_stored)
+    }
+
+    /// Deletes the stored blocks of an open upload's groups from
+    /// `first_group` on, best-effort, and forgets their placements.
+    fn reclaim(&mut self, name: &str, first_group: usize) {
+        let Some(open) = self.open_puts.get_mut(name) else {
+            return;
+        };
+        let id = open.meta.id.0 as u64;
+        for (g, servers) in open.meta.placements.drain(first_group..).enumerate() {
+            for (b, server) in servers.into_iter().enumerate() {
+                let _ = self.stores[server].delete_block(BlockKey::new(id, first_group + g, b));
+            }
+        }
     }
 
     /// The committed object's manifest (length and group count) — what
@@ -814,44 +774,13 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
         first_group: usize,
         max_groups: usize,
     ) -> Result<Vec<u8>, DfsError> {
-        let meta = self
-            .files
-            .get(name)
-            .ok_or_else(|| DfsError::NotFound(name.to_string()))?;
-        if first_group > meta.manifest.num_groups {
-            return Err(DfsError::OutOfRange {
-                end: first_group,
-                len: meta.manifest.num_groups,
-            });
-        }
-        let end = meta
-            .manifest
-            .num_groups
-            .min(first_group.saturating_add(max_groups));
-        let mut decoder = StripeDecoder::new(self.codec.code(), meta.manifest);
-        decoder.seek_group(first_group);
-        let mut out = Vec::new();
-        for g in first_group..end {
-            let blocks = self.group_availability(meta, g);
-            let present: u64 = blocks.iter().flatten().map(|b| b.len() as u64).sum();
-            global().counter("dfs.bytes_read").add(present);
-            if blocks.iter().any(|b| b.is_none()) {
-                global().counter("dfs.degraded_reads").inc();
-            }
-            let refs: Vec<Option<&[u8]>> = blocks.iter().map(|b| b.as_deref()).collect();
-            let payload = decoder
-                .next_group(&refs)
-                .map_err(|_| self.group_read_error(meta, g))?;
-            out.extend_from_slice(&payload);
-        }
-        Ok(out)
+        let mut report = op::OpReport::default();
+        self.decode_window(name, first_group, max_groups, &mut report, &mut Vec::new())
     }
 
-    /// Reads a whole file, tolerating lost blocks (degraded read).
-    ///
-    /// Thin shim over the read core, kept for one release: new code
-    /// should call [`Dfs::read`] with [`ReadOptions::full`], which also
-    /// returns the read's accounting.
+    /// Reads a whole file, tolerating lost blocks (degraded read). The
+    /// shared-borrow sibling of [`Dfs::read`] with [`ReadOptions::full`]:
+    /// no retries, no accounting returned, and no repairs queued.
     ///
     /// # Errors
     ///
@@ -861,21 +790,23 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
     /// [`ReadOptions::with_retries`]).
     pub fn get(&self, name: &str) -> Result<Vec<u8>, DfsError> {
         let mut scope = OpScope::new("dfs.get", "get", name, "dfs.op.get_us");
-        let mut degraded = Vec::new();
-        let res = self.get_inner(name, &mut scope.report, &mut degraded);
+        let res = self.decode_window(name, 0, usize::MAX, &mut scope.report, &mut Vec::new());
         scope.finish(res.is_ok());
         res
     }
 
-    /// The body of full-file reads, accumulating accounting into
+    /// The one group-window decode loop: decodes up to `max_groups`
+    /// groups from `first_group` on, accumulating accounting into
     /// `report` and the indices of groups that needed a degraded decode
     /// into `degraded` (for read-triggered repair). The
     /// `dfs.bytes_read` / `dfs.degraded_reads` counters move in
     /// lockstep with the report fields, so an op-log line can be
     /// cross-checked against the registry.
-    fn get_inner(
+    fn decode_window(
         &self,
         name: &str,
+        first_group: usize,
+        max_groups: usize,
         report: &mut op::OpReport,
         degraded: &mut Vec<usize>,
     ) -> Result<Vec<u8>, DfsError> {
@@ -883,127 +814,44 @@ impl<C: ErasureCode, S: BlockStore> Dfs<C, S> {
             .files
             .get(name)
             .ok_or_else(|| DfsError::NotFound(name.to_string()))?;
-        let mut decoder = StripeDecoder::new(self.codec.code(), meta.manifest);
-        let mut out = Vec::with_capacity(meta.manifest.object_len);
-        for g in 0..meta.manifest.num_groups {
+        let manifest = meta.manifest;
+        if first_group > manifest.num_groups {
+            return Err(DfsError::OutOfRange {
+                end: first_group,
+                len: manifest.num_groups,
+            });
+        }
+        let end = manifest
+            .num_groups
+            .min(first_group.saturating_add(max_groups));
+        let message_len = self.codec.code().message_len();
+        let mut decoder = StripeDecoder::new(self.codec.code(), manifest);
+        decoder.seek_group(first_group);
+        let mut out = Vec::with_capacity(
+            (end * message_len)
+                .min(manifest.object_len)
+                .saturating_sub(first_group * message_len),
+        );
+        for g in first_group..end {
             let blocks = self.group_availability(meta, g);
             let present: u64 = blocks.iter().flatten().map(|b| b.len() as u64).sum();
             global().counter("dfs.bytes_read").add(present);
             report.bytes_in += present;
-            let lost = blocks.iter().filter(|b| b.is_none()).count();
             let refs: Vec<Option<&[u8]>> = blocks.iter().map(|b| b.as_deref()).collect();
-            let payload = if lost > 0 {
+            let _span = refs.contains(&None).then(|| {
                 global().counter("dfs.degraded_reads").inc();
                 report.degraded_reads += 1;
                 degraded.push(g);
-                let _span = op::span("dfs.degraded_decode", "dfs");
-                decoder.next_group(&refs)
-            } else {
-                decoder.next_group(&refs)
-            }
-            .map_err(|_| self.group_read_error(meta, g))?;
+                op::span("dfs.degraded_decode", "dfs")
+            });
+            let payload = decoder
+                .next_group(&refs)
+                .map_err(|_| self.group_read_error(meta, g))?;
             report.stripes += 1;
             report.bytes_out += payload.len() as u64;
             out.extend_from_slice(&payload);
         }
         Ok(out)
-    }
-
-    /// [`Dfs::get`] with bounded retry across transient outages.
-    ///
-    /// Thin shim over the read core, kept for one release: new code
-    /// should call [`Dfs::read`] with
-    /// `ReadOptions::full().with_retries(n)` — the returned
-    /// [`ReadOutcome::stats`] carries what this tuple's second element
-    /// reported, and more.
-    ///
-    /// # Errors
-    ///
-    /// As [`Dfs::get`]; [`DfsError::Unavailable`] surfaces only once
-    /// the retry budget is exhausted.
-    pub fn get_with_retry(&mut self, name: &str) -> Result<(Vec<u8>, usize), DfsError> {
-        let opts = ReadOptions::full().with_retries(self.retry_limit);
-        self.read_loop(
-            name,
-            opts,
-            "dfs.get_with_retry",
-            "get_with_retry",
-            "dfs.op.get_with_retry_us",
-            |dfs, name, _opts, report, degraded| dfs.get_inner(name, report, degraded),
-        )
-        .map(|o| (o.bytes, o.stats.attempts))
-    }
-
-    /// The read core: retry loop, accounting, read-triggered repair.
-    /// The span/kind/histogram names are parameters so the deprecated
-    /// shims keep their historical trace and metric names; `attempt`
-    /// supplies the single-attempt body (whole-file streaming decode or
-    /// the linear-code range path), letting the loop itself stay
-    /// available to every code family.
-    fn read_loop(
-        &mut self,
-        name: &str,
-        opts: ReadOptions,
-        span_name: &'static str,
-        kind: &'static str,
-        hist: &'static str,
-        attempt: impl Fn(
-            &Self,
-            &str,
-            &ReadOptions,
-            &mut op::OpReport,
-            &mut Vec<usize>,
-        ) -> Result<Vec<u8>, DfsError>,
-    ) -> Result<ReadOutcome, DfsError> {
-        let mut scope = OpScope::new(span_name, kind, name, hist);
-        let budget = opts.retries.unwrap_or(0);
-        let mut backoff = 1u64;
-        let mut attempts = 0usize;
-        let mut degraded = Vec::new();
-        loop {
-            attempts += 1;
-            degraded.clear();
-            match attempt(self, name, &opts, &mut scope.report, &mut degraded) {
-                Ok(bytes) => {
-                    // Read-triggered repair: groups this read had to
-                    // decode around are enqueued under this operation's
-                    // context, so the eventual rebuild traces as part
-                    // of the read that noticed the damage. Fail-fast
-                    // reads (no retry budget) stay read-only.
-                    let repairs_queued = if opts.retries.is_some() {
-                        self.enqueue_degraded(name, &degraded, scope.span.context())
-                    } else {
-                        0
-                    };
-                    scope.report.repair_triggers += repairs_queued as u64;
-                    let stats = ReadReport {
-                        attempts,
-                        retries: scope.report.retries as usize,
-                        stripes_read: scope.report.stripes as usize,
-                        bytes_read: scope.report.bytes_in as usize,
-                        degraded_reads: scope.report.degraded_reads as usize,
-                        repairs_queued,
-                    };
-                    scope.finish(true);
-                    return Ok(ReadOutcome { bytes, stats });
-                }
-                Err(e @ DfsError::Unavailable { .. }) => {
-                    if attempts > budget {
-                        scope.finish(false);
-                        return Err(e);
-                    }
-                    global().counter("dfs.faults.retries").inc();
-                    scope.report.retries += 1;
-                    let _wait = op::span("dfs.retry", "dfs");
-                    self.advance_to(self.clock + backoff);
-                    backoff = backoff.saturating_mul(2);
-                }
-                Err(e) => {
-                    scope.finish(false);
-                    return Err(e);
-                }
-            }
-        }
     }
 
     /// The error a failed group read should surface: transient-outage
@@ -1682,7 +1530,9 @@ fn place_group<S: BlockStore>(
         return Err(DfsError::NotEnoughServers);
     }
     // Emptiest-first, tie-broken by a rotating offset for spread.
-    live.sort_by_key(|&s| {
+    // One `block_count` probe per live store (a `Probe` RPC for a
+    // remote store), not one per comparison.
+    live.sort_by_cached_key(|&s| {
         (
             stores[s].block_count(),
             (s + health.len() - salt % health.len()) % health.len(),
@@ -1708,12 +1558,9 @@ where
     C: ErasureCode + AsLinearCode,
     S: BlockStore,
 {
-    /// The unified read entry point: whole-file or range reads,
-    /// optional retry across transient outage windows, one
-    /// [`ReadOutcome`] shape back — this replaces the historical
-    /// `get` / `get_with_retry` / `read_range` / `read_range_stats` /
-    /// `read_range_with_retry` method family, whose shims now route
-    /// here.
+    /// The read entry point for ranges and retries: whole-file or range
+    /// reads, optional retry across transient outage windows, one
+    /// [`ReadOutcome`] shape back.
     ///
     /// Reads that carry a retry budget also enqueue background repairs
     /// for every group they had to decode around (read-triggered
@@ -1726,115 +1573,105 @@ where
     /// [`DfsError::DataLoss`], or [`DfsError::Unavailable`] once any
     /// retry budget is exhausted.
     pub fn read(&mut self, name: &str, opts: ReadOptions) -> Result<ReadOutcome, DfsError> {
-        self.read_loop(
-            name,
-            opts,
-            "dfs.read",
-            "read",
-            "dfs.op.read_us",
-            Self::read_once,
-        )
-    }
-
-    /// One read attempt: whole-file reads stream through the group
-    /// decoder; everything else goes through the linear-code range
-    /// path. Both collect the groups that needed a degraded decode
-    /// into `degraded`.
-    fn read_once(
-        &self,
-        name: &str,
-        opts: &ReadOptions,
-        report: &mut op::OpReport,
-        degraded: &mut Vec<usize>,
-    ) -> Result<Vec<u8>, DfsError> {
-        match opts.len {
-            None if opts.offset == 0 => self.get_inner(name, report, degraded),
-            _ => {
-                let object_len = self
-                    .files
-                    .get(name)
-                    .ok_or_else(|| DfsError::NotFound(name.to_string()))?
-                    .manifest
-                    .object_len;
-                let len = match opts.len {
-                    Some(len) => len,
-                    None => object_len
-                        .checked_sub(opts.offset)
-                        .ok_or(DfsError::OutOfRange {
-                            end: opts.offset,
-                            len: object_len,
-                        })?,
-                };
-                self.read_range_impl(name, opts.offset, len, report, degraded)
-                    .map(|(bytes, _)| bytes)
+        let mut scope = OpScope::new("dfs.read", "read", name, "dfs.op.read_us");
+        let budget = opts.retries.unwrap_or(0);
+        let mut backoff = 1u64;
+        let mut attempts = 0usize;
+        let mut degraded = Vec::new();
+        loop {
+            attempts += 1;
+            degraded.clear();
+            // Whole-file reads stream through the group decoder;
+            // everything else goes through the linear-code range path.
+            let attempt = match opts.len {
+                None if opts.offset == 0 => {
+                    self.decode_window(name, 0, usize::MAX, &mut scope.report, &mut degraded)
+                }
+                len => self.decode_range(name, opts.offset, len, &mut scope.report, &mut degraded),
+            };
+            match attempt {
+                Ok(bytes) => {
+                    // Read-triggered repair: groups this read had to
+                    // decode around are enqueued under this operation's
+                    // context, so the eventual rebuild traces as part
+                    // of the read that noticed the damage. Fail-fast
+                    // reads (no retry budget) stay read-only.
+                    let repairs_queued = if opts.retries.is_some() {
+                        self.enqueue_degraded(name, &degraded, scope.span.context())
+                    } else {
+                        0
+                    };
+                    scope.report.repair_triggers += repairs_queued as u64;
+                    let stats = ReadReport {
+                        attempts,
+                        retries: scope.report.retries as usize,
+                        stripes_read: scope.report.stripes as usize,
+                        bytes_read: scope.report.bytes_in as usize,
+                        degraded_reads: scope.report.degraded_reads as usize,
+                        repairs_queued,
+                    };
+                    scope.finish(true);
+                    return Ok(ReadOutcome { bytes, stats });
+                }
+                Err(DfsError::Unavailable { .. }) if attempts <= budget => {
+                    global().counter("dfs.faults.retries").inc();
+                    scope.report.retries += 1;
+                    let _wait = op::span("dfs.retry", "dfs");
+                    self.advance_to(self.clock + backoff);
+                    backoff = backoff.saturating_mul(2);
+                }
+                Err(e) => {
+                    scope.finish(false);
+                    return Err(e);
+                }
             }
         }
     }
 
-    /// Degraded-aware range read of `len` bytes at `offset`, with byte
-    /// accounting (requires the code to expose its
-    /// [`LinearCode`](galloper_erasure::LinearCode)).
-    ///
-    /// Thin shim over the read core, kept for one release: new code
-    /// should call [`Dfs::read`] with [`ReadOptions::range`]. The
-    /// returned [`ReadStats`] sum the per-group reads; `bytes_read`
-    /// always equals `stripes_read * stripe_size()`.
-    ///
-    /// # Errors
-    ///
-    /// [`DfsError::NotFound`], [`DfsError::OutOfRange`],
-    /// [`DfsError::DataLoss`], or [`DfsError::Unavailable`] (see
-    /// [`Dfs::get`]).
-    pub fn read_range_stats(
+    /// Degraded-aware range read of `len` bytes at `offset` (`None`:
+    /// through the end of the file) through the code's
+    /// [`LinearCode`](galloper_erasure::LinearCode), accumulating
+    /// accounting as [`Dfs::decode_window`] does. The report's
+    /// `bytes_in` always equals `stripes × stripe_size()`.
+    fn decode_range(
         &self,
         name: &str,
         offset: usize,
-        len: usize,
-    ) -> Result<(Vec<u8>, ReadStats), DfsError> {
-        let mut scope = OpScope::new("dfs.read_range", "read_range", name, "dfs.op.read_range_us");
-        let mut degraded = Vec::new();
-        let res = self.read_range_impl(name, offset, len, &mut scope.report, &mut degraded);
-        scope.finish(res.is_ok());
-        res
-    }
-
-    fn read_range_impl(
-        &self,
-        name: &str,
-        offset: usize,
-        len: usize,
+        len: Option<usize>,
         report: &mut op::OpReport,
         degraded: &mut Vec<usize>,
-    ) -> Result<(Vec<u8>, ReadStats), DfsError> {
+    ) -> Result<Vec<u8>, DfsError> {
         let meta = self
             .files
             .get(name)
             .ok_or_else(|| DfsError::NotFound(name.to_string()))?;
+        let object_len = meta.manifest.object_len;
+        let len = match len {
+            Some(len) => len,
+            None => object_len.checked_sub(offset).ok_or(DfsError::OutOfRange {
+                end: offset,
+                len: object_len,
+            })?,
+        };
         // Mirror of the erasure-level guard: `offset + len` must not
         // wrap around `usize` and sneak past the length check.
         let end = offset.checked_add(len).ok_or(DfsError::OutOfRange {
             end: usize::MAX,
-            len: meta.manifest.object_len,
+            len: object_len,
         })?;
-        if end > meta.manifest.object_len {
+        if end > object_len {
             return Err(DfsError::OutOfRange {
                 end,
-                len: meta.manifest.object_len,
+                len: object_len,
             });
         }
         let msg = self.codec.code().message_len();
         let mut out = Vec::with_capacity(len);
-        let mut stats = ReadStats {
-            stripes_read: 0,
-            bytes_read: 0,
-            degraded: false,
-            full_decode: false,
-        };
         let mut pos = offset;
-        while out.len() < len {
+        while pos < end {
             let group = pos / msg;
             let within = pos % msg;
-            let take = (msg - within).min(len - out.len());
+            let take = (msg - within).min(end - pos);
             let avail = self.group_availability(meta, group);
             let refs: Vec<Option<&[u8]>> = avail.iter().map(|a| a.as_deref()).collect();
             let (bytes, group_stats) = self
@@ -1855,55 +1692,8 @@ where
                 report.degraded_reads += 1;
                 degraded.push(group);
             }
-            stats.stripes_read += group_stats.stripes_read;
-            stats.bytes_read += group_stats.bytes_read;
-            stats.degraded |= group_stats.degraded;
-            stats.full_decode |= group_stats.full_decode;
             pos += take;
         }
-        Ok((out, stats))
-    }
-
-    /// [`Dfs::read_range_stats`] without the accounting.
-    ///
-    /// Thin shim, kept for one release: new code should call
-    /// [`Dfs::read`] with [`ReadOptions::range`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Dfs::read_range_stats`].
-    pub fn read_range(&self, name: &str, offset: usize, len: usize) -> Result<Vec<u8>, DfsError> {
-        self.read_range_stats(name, offset, len)
-            .map(|(bytes, _)| bytes)
-    }
-
-    /// [`Dfs::read_range`] with the same bounded retry-with-backoff as
-    /// [`Dfs::get_with_retry`]. Returns the bytes and the number of
-    /// attempts made.
-    ///
-    /// Thin shim over the read core, kept for one release: new code
-    /// should call [`Dfs::read`] with
-    /// `ReadOptions::range(offset, len).with_retries(n)`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Dfs::read_range`]; [`DfsError::Unavailable`] surfaces only
-    /// once the retry budget is exhausted.
-    pub fn read_range_with_retry(
-        &mut self,
-        name: &str,
-        offset: usize,
-        len: usize,
-    ) -> Result<(Vec<u8>, usize), DfsError> {
-        let opts = ReadOptions::range(offset, len).with_retries(self.retry_limit);
-        self.read_loop(
-            name,
-            opts,
-            "dfs.read_range_with_retry",
-            "read_range_with_retry",
-            "dfs.op.read_range_with_retry_us",
-            Self::read_once,
-        )
-        .map(|o| (o.bytes, o.stats.attempts))
+        Ok(out)
     }
 }

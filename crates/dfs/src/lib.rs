@@ -5,11 +5,14 @@
 //! [`Dfs`] keeps files as coding groups of blocks spread over a set of
 //! servers, and implements the full storage lifecycle:
 //!
-//! * [`Dfs::put`] — encode and place (round-robin rotated per group so
-//!   load balances across servers);
-//! * [`Dfs::read`] — the unified degraded-aware read entry point
-//!   ([`ReadOptions`] in, [`ReadOutcome`] out), with [`Dfs::get`] /
-//!   [`Dfs::read_range`] kept as thin compatibility shims;
+//! * [`Dfs::put`] — encode and place (emptiest servers first, rotated
+//!   per group so load balances across servers), through the same
+//!   write path as the staged [`Dfs::put_begin`] / [`Dfs::put_append`]
+//!   / [`Dfs::put_commit`] lifecycle: a failed write leaves no blocks;
+//! * reads, all over one degraded-aware group decode loop:
+//!   [`Dfs::read`] for ranges and retries ([`ReadOptions`] in,
+//!   [`ReadOutcome`] out), [`Dfs::get`] for a whole file under a shared
+//!   borrow, and [`Dfs::read_groups`] for one window of groups;
 //! * [`Dfs::fail_server`] — failure injection (blocks on the server are
 //!   lost);
 //! * [`Dfs::repair`] — rebuild every lost block, preferring each block's
@@ -28,8 +31,8 @@
 //! * per-block CRC-32 checksums ([`crc32`]) stamped at write time and
 //!   verified on every read, so corruption surfaces as an erasure and
 //!   is routed around, never returned;
-//! * [`Dfs::get_with_retry`] / [`Dfs::read_range_with_retry`] — bounded
-//!   retry-with-backoff across transient outage windows;
+//! * [`ReadOptions::with_retries`] — bounded retry-with-backoff across
+//!   transient outage windows;
 //! * [`Dfs::scan_endangered`] / [`Dfs::drain_repairs`] — a background
 //!   repair queue that rebuilds the most-endangered groups (fewest
 //!   surviving blocks above the decode threshold) first.
@@ -40,7 +43,7 @@
 //! `dfs.degraded_reads`), and per-op latency histograms
 //! (`dfs.op.*_us`, `dfs.store.block_bytes`). Every top-level entry
 //! point also opens a request-scoped span (`dfs.put`, `dfs.get`,
-//! `dfs.get_with_retry`, ...), so with tracing on, a degraded read —
+//! `dfs.read`, ...), so with tracing on, a degraded read —
 //! including its retries, degraded decodes, and the repairs it
 //! triggers — renders as one connected tree in the Chrome trace; and
 //! with `GALLOPER_OP_LOG` set, each top-level operation emits a

@@ -1,8 +1,14 @@
 //! Lifecycle tests for the erasure-coded DFS: put/get under failures,
 //! repair accounting across code families, and fsck reporting.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use galloper::Galloper;
-use galloper_dfs::{Dfs, DfsError, GroupHealth};
+use galloper_dfs::{
+    BlockGet, BlockKey, BlockStore, Dfs, DfsError, ErasureCode, GroupHealth, MemStore, ReadOptions,
+    StoreError, StoreHealth,
+};
 use galloper_pyramid::Pyramid;
 use galloper_rs::ReedSolomon;
 use galloper_testkit::TestRng;
@@ -162,14 +168,11 @@ fn range_reads_through_dfs() {
         (29_990, 10),
         (0, 30_000),
     ] {
-        assert_eq!(
-            dfs.read_range("a", offset, len).unwrap(),
-            &data[offset..offset + len],
-            "{offset}+{len}"
-        );
+        let read = dfs.read("a", ReadOptions::range(offset, len)).unwrap();
+        assert_eq!(read.bytes, &data[offset..offset + len], "{offset}+{len}");
     }
     assert!(matches!(
-        dfs.read_range("a", 29_999, 2),
+        dfs.read("a", ReadOptions::range(29_999, 2)),
         Err(DfsError::OutOfRange { .. })
     ));
 }
@@ -247,6 +250,14 @@ fn chunked_put_matches_oneshot_and_hides_until_commit() {
             oneshot.object_manifest("x").unwrap().num_groups,
             "len={len}"
         );
+        // The same block bytes landed on the same servers.
+        for server in 0..10 {
+            assert_eq!(
+                stored_blocks(&dfs, server),
+                stored_blocks(&oneshot, server),
+                "len={len} chunk={chunk} server={server}"
+            );
+        }
         // Windowed reads reassemble the object exactly.
         let mut windowed = Vec::new();
         let mut g = 0;
@@ -305,4 +316,135 @@ fn put_abort_reclaims_blocks_and_frees_the_name() {
         dfs.read_groups("a", groups + 1, 1),
         Err(DfsError::OutOfRange { .. })
     ));
+}
+
+/// Every block on `server`, sorted by key, with what it reads back as.
+fn stored_blocks<C: ErasureCode, S: BlockStore>(
+    dfs: &Dfs<C, S>,
+    server: usize,
+) -> Vec<(BlockKey, BlockGet)> {
+    let store = dfs.store(server);
+    let mut keys = store.scan_blocks().unwrap();
+    keys.sort_unstable();
+    keys.into_iter()
+        .map(|k| (k, store.get_block(k).unwrap()))
+        .collect()
+}
+
+/// A [`MemStore`] that refuses every write once a budget shared by all
+/// the stores of one cluster runs out — a disk filling up mid-put.
+#[derive(Debug)]
+struct FlakyStore {
+    inner: MemStore,
+    writes_left: Rc<Cell<usize>>,
+}
+
+impl BlockStore for FlakyStore {
+    fn put_block(&mut self, key: BlockKey, bytes: &[u8]) -> Result<(), StoreError> {
+        match self.writes_left.get() {
+            0 => Err(StoreError::Backend("write budget exhausted".into())),
+            n => {
+                self.writes_left.set(n - 1);
+                self.inner.put_block(key, bytes)
+            }
+        }
+    }
+
+    fn get_block(&self, key: BlockKey) -> Result<BlockGet, StoreError> {
+        self.inner.get_block(key)
+    }
+
+    fn delete_block(&mut self, key: BlockKey) -> Result<bool, StoreError> {
+        self.inner.delete_block(key)
+    }
+
+    fn scan_blocks(&self) -> Result<Vec<BlockKey>, StoreError> {
+        self.inner.scan_blocks()
+    }
+
+    fn contains_block(&self, key: BlockKey) -> bool {
+        self.inner.contains_block(key)
+    }
+
+    fn block_count(&self) -> usize {
+        self.inner.block_count()
+    }
+
+    fn wipe(&mut self) {
+        self.inner.wipe();
+    }
+
+    fn probe(&self) -> Result<StoreHealth, StoreError> {
+        self.inner.probe()
+    }
+}
+
+/// Galloper(4,2,1) — seven blocks a group — over ten flaky stores that
+/// accept `writes` block writes in total.
+fn flaky_cluster(writes: usize) -> (Dfs<Galloper, FlakyStore>, Rc<Cell<usize>>) {
+    let writes_left = Rc::new(Cell::new(writes));
+    let stores = (0..10)
+        .map(|_| FlakyStore {
+            inner: MemStore::new(),
+            writes_left: Rc::clone(&writes_left),
+        })
+        .collect();
+    let dfs = Dfs::with_stores(stores, Galloper::uniform(4, 2, 1, 128).unwrap());
+    (dfs, writes_left)
+}
+
+fn total_blocks<C: ErasureCode, S: BlockStore>(dfs: &Dfs<C, S>) -> usize {
+    (0..dfs.num_servers()).map(|s| dfs.blocks_on(s)).sum()
+}
+
+#[test]
+fn failed_put_leaves_no_blocks_and_burns_its_id() {
+    // Two whole groups (14 blocks) fit the budget; the third group
+    // fails after its third block.
+    let (mut dfs, writes_left) = flaky_cluster(17);
+    let data = random_data(3 * dfs.code().message_len(), 41);
+    assert!(matches!(dfs.put("a", &data), Err(DfsError::Store(_))));
+    assert_eq!(writes_left.get(), 0, "the put ran into the budget");
+    assert_eq!(total_blocks(&dfs), 0, "a failed put leaves no blocks");
+    assert!(matches!(dfs.get("a"), Err(DfsError::NotFound(_))));
+
+    // The failed put's id is never handed out again.
+    writes_left.set(usize::MAX);
+    let id = dfs.put("b", &data).unwrap();
+    let (mut fresh, _) = flaky_cluster(usize::MAX);
+    assert_ne!(id, fresh.put("b", &data).unwrap(), "FileId reused");
+    assert_eq!(dfs.get("b").unwrap(), data);
+    // The failed name is free again.
+    dfs.put("a", &data).unwrap();
+    assert_eq!(dfs.get("a").unwrap(), data);
+}
+
+#[test]
+fn failed_append_then_abort_leaves_no_blocks() {
+    let (mut dfs, writes_left) = flaky_cluster(17);
+    let data = random_data(3 * dfs.code().message_len(), 43);
+    dfs.put_begin("a").unwrap();
+    assert!(matches!(
+        dfs.put_append("a", &data),
+        Err(DfsError::Store(_))
+    ));
+    assert!(dfs.put_abort("a"));
+    assert_eq!(
+        total_blocks(&dfs),
+        0,
+        "abort reclaims the half-written group"
+    );
+
+    // A failed commit destroys the upload and its blocks by itself.
+    writes_left.set(7);
+    dfs.put_begin("c").unwrap();
+    dfs.put_append("c", &data[..dfs.code().message_len() + 1])
+        .unwrap();
+    assert_eq!(total_blocks(&dfs), 7, "one whole group stored");
+    assert!(matches!(dfs.put_commit("c"), Err(DfsError::Store(_))));
+    assert_eq!(total_blocks(&dfs), 0);
+    assert!(
+        !dfs.put_abort("c"),
+        "the failed commit already destroyed it"
+    );
 }

@@ -12,7 +12,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use galloper::Galloper;
-use galloper_dfs::Dfs;
+use galloper_dfs::{Dfs, ReadOptions};
 use galloper_obs::{global, global_trace, json, op, TraceEvent};
 use galloper_testkit::TestRng;
 
@@ -94,8 +94,10 @@ fn degraded_chaos_get_is_one_connected_tree_and_report_matches_metrics() {
     let retries0 = global().counter("dfs.faults.retries").get();
     let degraded0 = global().counter("dfs.degraded_reads").get();
 
-    let (bytes, attempts) = dfs.get_with_retry("movie.bin").unwrap();
-    assert_eq!(bytes, data);
+    let patient = ReadOptions::full().with_retries(dfs.retry_limit());
+    let read = dfs.read("movie.bin", patient).unwrap();
+    assert_eq!(read.bytes, data);
+    let attempts = read.stats.attempts;
     assert!(attempts > 1, "the outage must force at least one retry");
 
     let reads_delta = global().counter("dfs.bytes_read").get() - reads0;
@@ -110,11 +112,12 @@ fn degraded_chaos_get_is_one_connected_tree_and_report_matches_metrics() {
     assert!(dfs.fsck().all_healthy());
 
     // --- OpReport vs. metric deltas -----------------------------------
-    let report = report_line(&log.contents(), "get_with_retry");
+    let report = report_line(&log.contents(), "read");
     assert_eq!(report.get("ok"), Some(&json::Json::Bool(true)));
     assert_eq!(report.get("key").unwrap().as_str(), Some("movie.bin"));
     assert_eq!(field(&report, "bytes_out") as usize, data.len());
     assert_eq!(field(&report, "bytes_in"), reads_delta);
+    assert_eq!(field(&report, "bytes_in") as usize, read.stats.bytes_read);
     assert_eq!(field(&report, "retries"), retries_delta);
     assert_eq!(field(&report, "retries") as usize, attempts - 1);
     assert_eq!(field(&report, "degraded_reads"), degraded_delta);
@@ -128,7 +131,7 @@ fn degraded_chaos_get_is_one_connected_tree_and_report_matches_metrics() {
     let ours: Vec<TraceEvent> = events.into_iter().filter(|e| e.op == op_id).collect();
     let root = ours
         .iter()
-        .find(|e| e.name == "dfs.get_with_retry")
+        .find(|e| e.name == "dfs.read")
         .expect("root span recorded");
     assert_eq!(root.parent, 0, "the entry point starts the operation");
     for name in ["dfs.retry", "dfs.degraded_decode", "dfs.repair_group"] {

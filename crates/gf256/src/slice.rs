@@ -8,7 +8,7 @@
 //! matrices are dominated by zeros and ones.
 //!
 //! Since the kernel rewrite, the actual byte loops live in
-//! [`crate::kernel`], which dispatches to a scalar, SWAR, or SIMD backend
+//! [`crate::kernel`], which dispatches to a scalar or SIMD backend
 //! chosen once at startup (`GALLOPER_KERNEL` overrides). This module is the
 //! *counted* facade over those raw kernels: every call here adds its byte
 //! count to a global counter (`gf.xor_slice.bytes`, `gf.mul_slice.bytes`,

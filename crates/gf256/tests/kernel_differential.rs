@@ -1,5 +1,5 @@
-//! Differential property suite for the kernel backends: SWAR and SIMD
-//! must be byte-identical to the scalar reference for every coefficient,
+//! Differential property suite for the kernel backends: SIMD must be
+//! byte-identical to the scalar reference for every coefficient,
 //! across ragged lengths and misaligned sub-slices.
 //!
 //! Under Miri (which vets the `unsafe` intrinsics when they are
@@ -79,7 +79,7 @@ fn every_backend_matches_scalar_mul() {
 
 #[test]
 fn scalar_reference_matches_field_arithmetic() {
-    // The other two backends are pinned to scalar; scalar itself is
+    // The SIMD backend is pinned to scalar; scalar itself is
     // pinned to the typed field element, closing the loop.
     let base = base_payload();
     for &c in &coefficients() {

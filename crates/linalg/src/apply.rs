@@ -325,6 +325,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
+        let _guard = crate::pool::test_lock();
         let m = Matrix::cauchy(9, 6);
         let inputs = sample_inputs(6, 1031); // odd size
         let refs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
@@ -340,6 +341,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_above_the_cutoff() {
+        let _guard = crate::pool::test_lock();
         // 9 rows × 30 KiB ≫ PARALLEL_CUTOFF_BYTES: this genuinely runs
         // on the pool, with more requested threads than rows.
         let m = Matrix::cauchy(9, 6);
@@ -357,6 +359,7 @@ mod tests {
 
     #[test]
     fn repeated_parallel_reuse_stays_deterministic() {
+        let _guard = crate::pool::test_lock();
         // The streaming pipeline calls this in a tight loop on recycled
         // buffers; the pool must give identical answers every time.
         let m = Matrix::cauchy(4, 3);
@@ -390,6 +393,7 @@ mod tests {
 
     #[test]
     fn parallel_into_matches_serial_and_reuses_buffers() {
+        let _guard = crate::pool::test_lock();
         let m = Matrix::cauchy(5, 3);
         let inputs = sample_inputs(3, 513);
         let refs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();

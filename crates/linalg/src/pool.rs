@@ -321,6 +321,15 @@ fn default_threads() -> usize {
         .max(2)
 }
 
+/// Serializes the tests that run pooled work: the `linalg.pool.*`
+/// metrics they assert on are process-global, so a concurrently running
+/// pool would leak samples and threads into another test's deltas.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,6 +337,7 @@ mod tests {
 
     #[test]
     fn runs_borrowed_tasks_to_completion() {
+        let _guard = test_lock();
         let pool = WorkerPool::new(3);
         let mut outputs = [0usize; 17];
         {
@@ -346,6 +356,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_batches_run_inline() {
+        let _guard = test_lock();
         let pool = WorkerPool::new(4);
         pool.run(Vec::new());
         let hits = AtomicUsize::new(0);
@@ -358,6 +369,7 @@ mod tests {
 
     #[test]
     fn threads_are_reused_across_batches() {
+        let _guard = test_lock();
         let pool = WorkerPool::new(2);
         for _ in 0..20 {
             let counter = AtomicUsize::new(0);
@@ -376,6 +388,7 @@ mod tests {
 
     #[test]
     fn nested_runs_do_not_deadlock() {
+        let _guard = test_lock();
         let pool = WorkerPool::new(2);
         let total = AtomicUsize::new(0);
         let tasks: Vec<ScopedTask<'_>> = (0..4)
@@ -398,6 +411,7 @@ mod tests {
 
     #[test]
     fn task_panics_propagate_after_the_batch_finishes() {
+        let _guard = test_lock();
         let pool = WorkerPool::new(2);
         let survivors = AtomicUsize::new(0);
         let survivors_ref = &survivors;
@@ -424,6 +438,7 @@ mod tests {
 
     #[test]
     fn tasks_inherit_the_submitters_op_context() {
+        let _guard = test_lock();
         let pool = WorkerPool::new(2);
         let root = op::span("pool.test.op", "test");
         let expect = root.op();
@@ -456,6 +471,7 @@ mod tests {
 
     #[test]
     fn drop_joins_workers() {
+        let _guard = test_lock();
         let before = global().gauge("linalg.pool.threads").get();
         {
             let pool = WorkerPool::new(2);

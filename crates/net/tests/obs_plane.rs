@@ -5,12 +5,14 @@
 //! poisoning the merge).
 //!
 //! Everything here runs in one process, so all services share one
-//! metrics registry and one trace ring — assertions are therefore
+//! metrics registry and one trace ring. Most assertions are therefore
 //! *relational* (per-node sums vs. the merge, parent/child span links
-//! within one op) rather than absolute counter values, which keeps
-//! them stable when the tests in this binary run concurrently.
+//! within one op); the few absolute histogram deltas (the gateway's
+//! `net.gateway.get_us` count) would see another test's requests, so
+//! the tests serialize on [`test_lock`].
 
 use std::net::TcpListener;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use galloper_codes::{build_code, CodeSpec};
@@ -22,6 +24,13 @@ use galloper_net::{
 use galloper_obs::{global_trace, json, op, Json, RegistrySnapshot};
 
 const TIMEOUT: Duration = Duration::from_millis(2000);
+
+/// Held for the whole of each test: the metrics registry is
+/// process-global.
+fn test_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn listener() -> TcpListener {
     TcpListener::bind("127.0.0.1:0").expect("bind loopback")
@@ -64,6 +73,7 @@ fn fetch_stats(addr: &str) -> Json {
 
 #[test]
 fn trace_context_stitches_client_gateway_and_daemon_spans_into_one_tree() {
+    let _guard = test_lock();
     global_trace().set_enabled(true);
     let (_daemons, _gateway, mut conn) = spawn_cluster(3, None);
     let bytes = vec![7u8; 4096];
@@ -129,6 +139,7 @@ fn trace_context_stitches_client_gateway_and_daemon_spans_into_one_tree() {
 
 #[test]
 fn probe_carries_vitals_and_stats_doc_reports_store_health() {
+    let _guard = test_lock();
     let (daemons, stores) = spawn_daemons(1);
     let mut store = stores.into_iter().next().unwrap();
     use galloper_dfs::{BlockKey, BlockStore as _};
@@ -170,6 +181,7 @@ fn probe_carries_vitals_and_stats_doc_reports_store_health() {
 
 #[test]
 fn scraper_merges_reachable_nodes_and_survives_a_dead_daemon() {
+    let _guard = test_lock();
     let (mut daemons, stores) = spawn_daemons(3);
     // Traffic so the registries are non-trivial.
     use galloper_dfs::{BlockKey, BlockStore as _};
@@ -233,6 +245,7 @@ fn scraper_merges_reachable_nodes_and_survives_a_dead_daemon() {
 
 #[test]
 fn gateway_stats_exposes_cluster_view_and_own_histograms() {
+    let _guard = test_lock();
     let (mut daemons, _stores) = spawn_daemons(3);
     let addrs: Vec<String> = daemons.iter().map(|d| d.addr().to_string()).collect();
     let scraper = std::sync::Arc::new(Scraper::spawn(addrs, Duration::from_secs(3600), 16));

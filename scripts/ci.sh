@@ -23,6 +23,12 @@ cargo test -q --release --workspace
 echo "==> full workspace tests (GALLOPER_KERNEL=scalar)"
 GALLOPER_KERNEL=scalar cargo test -q --release --workspace
 
+# perfbench/ is a Cargo package of its own that builds against these
+# crates by path; running its tests here means a refactor of an API the
+# benchmark uses fails this gate, not the benchmark run.
+echo "==> perfbench tests (separate package over the workspace crates)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # The chaos soak (tests/chaos.rs) already ran above on its default
 # seed; re-run it on a second pinned schedule under both kernel
 # backends so CI always exercises one alternate fault trajectory.
