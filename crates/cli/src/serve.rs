@@ -213,10 +213,11 @@ pub fn default_serve_spec(daemons: usize, stripe_size: usize) -> Result<CodeSpec
     Ok(CodeSpec::rs(daemons - 1, 1, stripe_size))
 }
 
-/// Uploads `file` to the gateway at `addr` as object `name`. Objects
-/// that fit one frame go as a single `PutObject`; larger files stream
-/// chunk by chunk from disk — the client never holds the whole object
-/// in memory, and there is no size ceiling beyond the gateway's.
+/// Uploads `file` to the gateway at `addr` as object `name`, chunk by
+/// chunk from disk: a file that fits one chunk is a single
+/// `PutObject`, and a larger one streams in as the same put session's
+/// `PutChunk`s — the client never holds the whole object in memory,
+/// and there is no size ceiling beyond the gateway's.
 ///
 /// # Errors
 ///
@@ -243,7 +244,7 @@ pub fn net_put(addr: &str, name: &str, file: &Path) -> Result<usize, String> {
 }
 
 /// Downloads object `name` from the gateway at `addr` into `output`,
-/// streaming chunk by chunk for objects too large for one frame.
+/// streaming window by window for objects larger than one chunk.
 ///
 /// # Errors
 ///

@@ -131,6 +131,7 @@ fn put(gateway: &str, name: &str, bytes: Vec<u8>) {
     match conn
         .call(&Request::PutObject {
             name: name.to_string(),
+            object_len: bytes.len() as u64,
             bytes,
         })
         .expect("put transport")

@@ -22,7 +22,7 @@
 //! Each client holds one connection (the protocol is half-duplex:
 //! one outstanding request per connection), so concurrency is exactly
 //! `--clients`. The run preloads `--objects` seeded payloads, then
-//! hammers `GetObject` for `--seconds`, verifying every response
+//! hammers whole-object gets for `--seconds`, verifying every response
 //! byte-for-byte against the expected payload. Results — p50/p99/p999
 //! latency from the shared HDR histogram registry, sustained GB/s, and
 //! the `byte_errors` gate — are emitted as `BENCH_serve.json` when
@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use galloper_net::{Conn, ErrorKind, Request, Response, WHOLE_OBJECT_MAX};
+use galloper_net::{Conn, ErrorKind, Request, Response, CHUNK_BYTES};
 use galloper_obs::{global, Json, RegistrySnapshot};
 
 /// Fixed seed base so every run (and the verifying reader) derives the
@@ -68,12 +68,13 @@ struct Counters {
     requests: AtomicU64,
     ok: AtomicU64,
     ok_bytes: AtomicU64,
-    /// Bytes moved over the chunked-transfer plane (objects larger
-    /// than one frame). Zero on the default whole-frame workload.
+    /// Bytes of verified gets of objects larger than one chunk
+    /// ([`CHUNK_BYTES`]), which travel as multi-window gets. Zero on the
+    /// default one-frame workload.
     stream_bytes: AtomicU64,
-    /// Typed `OutOfRange` refusals that reached the client — on the
-    /// chunked path that means the fallback itself failed, so any
-    /// nonzero count is a protocol regression.
+    /// Typed `OutOfRange` answers to whole-object gets: the gateway has
+    /// no reason to send one, so any nonzero count is a protocol
+    /// regression.
     oversize_errors: AtomicU64,
     byte_errors: AtomicU64,
     busy_shed: AtomicU64,
@@ -182,9 +183,9 @@ fn fetch_gateway_stats(addr: &str) -> Option<Json> {
     }
 }
 
-/// The gateway's admitted-GET count from a stats document (the
-/// `net.gateway.get_us` histogram counts exactly the admitted,
-/// answered `GetObject` requests).
+/// The gateway's answered-GET count from a stats document (the
+/// `net.gateway.get_us` histogram records exactly one sample per get
+/// transfer an admitted frame finishes, whatever the object's size).
 fn gateway_get_count(doc: &Json) -> Option<u64> {
     let snap = RegistrySnapshot::from_json(doc.get("metrics")?).ok()?;
     Some(
@@ -385,8 +386,6 @@ fn preload(cfg: &Config, payloads: &Arc<Vec<Vec<u8>>>) -> Result<(), String> {
                     if i >= payloads.len() {
                         return Ok(());
                     }
-                    // Size-aware: identical PutObject frames for
-                    // objects that fit, chunked streaming beyond.
                     match conn
                         .put_object(&object_name(i), &payloads[i])
                         .map_err(|e| format!("preload: put {i} failed: {e}"))?
@@ -454,26 +453,14 @@ fn client_loop(
                     }
                 },
             };
-            // Objects that fit one frame keep the exact historical
-            // GetObject exchange (the responses-vs-histogram gate
-            // depends on one admitted GET per response); oversize
-            // objects go through the chunked helper.
-            let chunked = cfg.object_bytes > WHOLE_OBJECT_MAX;
-            let resp = if chunked {
-                call.get_object(&object_name(obj))
-            } else {
-                call.call(&Request::GetObject {
-                    name: object_name(obj),
-                })
-            };
-            match resp {
+            match call.get_object(&object_name(obj)) {
                 Ok(Response::Blob(bytes)) => {
                     if bytes == payloads[obj] {
                         counters.ok.fetch_add(1, Ordering::Relaxed);
                         counters
                             .ok_bytes
                             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                        if chunked {
+                        if cfg.object_bytes > CHUNK_BYTES {
                             counters
                                 .stream_bytes
                                 .fetch_add(bytes.len() as u64, Ordering::Relaxed);

@@ -12,39 +12,8 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use crate::frame::{read_frame, write_frame_vectored, MAX_FRAME};
-use crate::proto::{ErrorKind, ProtocolError, Request, Response, TraceContext};
-
-/// Largest object that still travels as one whole [`Request::PutObject`]
-/// / [`Response::Blob`] frame. The margin under
-/// [`MAX_FRAME`] covers the frame's envelope (tag, name, length
-/// prefixes, trace extension); anything bigger goes chunked.
-pub const WHOLE_OBJECT_MAX: usize = MAX_FRAME - 4096;
-
-/// Default chunk size for chunked transfers (see
-/// [`chunk_bytes_from_env`]).
-pub const DEFAULT_CHUNK_BYTES: usize = 4 << 20;
-
-/// Chunk size for chunked object transfers, from `GALLOPER_CHUNK_BYTES`
-/// (bytes; default [`DEFAULT_CHUNK_BYTES`]). Values are clamped to fit
-/// one frame; unparseable values warn once per call and fall back to
-/// the default, consistent with the other env knobs.
-pub fn chunk_bytes_from_env() -> usize {
-    let picked = match std::env::var("GALLOPER_CHUNK_BYTES") {
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!(
-                    "warning: GALLOPER_CHUNK_BYTES='{s}' is not a positive integer; \
-                     using {DEFAULT_CHUNK_BYTES}"
-                );
-                DEFAULT_CHUNK_BYTES
-            }
-        },
-        Err(_) => DEFAULT_CHUNK_BYTES,
-    };
-    picked.min(WHOLE_OBJECT_MAX)
-}
+use crate::frame::{read_frame, write_frame_vectored};
+use crate::proto::{ProtocolError, Request, Response, TraceContext, CHUNK_BYTES};
 
 /// One framed, half-duplex protocol connection.
 #[derive(Debug)]
@@ -196,101 +165,70 @@ impl Conn {
         self.recv_response()
     }
 
-    /// Stores an object of any size, choosing the wire shape by length:
-    /// at most [`WHOLE_OBJECT_MAX`] bytes travel as one
-    /// [`Request::PutObject`] frame (byte-identical to the historical
-    /// encoding, so old servers interoperate); anything larger streams
-    /// as `PutStart`/`PutChunk`/`PutCommit`. Returns [`Response::Ok`]
-    /// on success or the server's typed error.
+    /// Stores an object of any size as one put session: the first
+    /// [`CHUNK_BYTES`] ride the [`Request::PutObject`], so an object
+    /// that fits one chunk takes exactly one exchange, and the rest
+    /// follows as [`Request::PutChunk`]s. Returns [`Response::Ok`] on
+    /// success or the server's typed error.
     ///
     /// # Errors
     ///
     /// [`ProtocolError`] on transport failure (the connection is then
     /// poisoned).
     pub fn put_object(&mut self, name: &str, data: &[u8]) -> Result<Response, ProtocolError> {
-        if data.len() <= WHOLE_OBJECT_MAX {
-            return self.call(&Request::PutObject {
-                name: name.to_string(),
-                bytes: data.to_vec(),
-            });
-        }
-        self.put_chunked(name, data.len() as u64, &mut &*data)
+        self.put_reader(name, data.len() as u64, &mut &*data)
     }
 
     /// [`Conn::put_object`] for a source that streams: reads exactly
     /// `len` bytes from `reader`, never holding more than one chunk in
-    /// memory on the chunked path.
+    /// memory.
     ///
     /// # Errors
     ///
     /// [`ProtocolError`] on transport failure or a short/failed read
-    /// from `reader` (both poison the connection — a half-sent
-    /// transfer cannot be resumed).
+    /// from `reader`. A failed read after the first chunk poisons the
+    /// connection: a half-sent transfer cannot be resumed.
     pub fn put_reader(
         &mut self,
         name: &str,
         len: u64,
         reader: &mut impl Read,
     ) -> Result<Response, ProtocolError> {
-        if len <= WHOLE_OBJECT_MAX as u64 {
-            let mut data = vec![0u8; len as usize];
-            if let Err(e) = reader.read_exact(&mut data) {
-                return Err(ProtocolError::Io(e));
-            }
-            return self.call(&Request::PutObject {
-                name: name.to_string(),
-                bytes: data,
-            });
-        }
-        self.put_chunked(name, len, reader)
-    }
-
-    fn put_chunked(
-        &mut self,
-        name: &str,
-        len: u64,
-        reader: &mut impl Read,
-    ) -> Result<Response, ProtocolError> {
-        let chunk = chunk_bytes_from_env();
-        let id = match self.call(&Request::PutStart {
+        let mut left = len;
+        let first = self.call(&Request::PutObject {
             name: name.to_string(),
             object_len: len,
-        })? {
+            bytes: read_chunk(reader, &mut left)?,
+        })?;
+        let id = match first {
             Response::PutBegun { id } => id,
             other => return Ok(other),
         };
-        let mut buf = vec![0u8; chunk];
-        let mut seq = 0u64;
-        let mut sent = 0u64;
-        while sent < len {
-            let take = (chunk as u64).min(len - sent) as usize;
-            if let Err(e) = reader.read_exact(&mut buf[..take]) {
-                // The server still holds an open transfer on this
-                // connection; abandoning it mid-stream makes the
-                // connection unusable for anything else.
-                self.poisoned = true;
-                return Err(ProtocolError::Io(e));
-            }
-            match self.call(&Request::PutChunk {
-                id,
-                seq,
-                bytes: buf[..take].to_vec(),
-            })? {
-                Response::Ok => {}
-                // A typed error aborts the transfer server-side; the
-                // frame stream stays aligned, so no poisoning.
-                other => return Ok(other),
+        let mut seq = 1u64;
+        loop {
+            let bytes = match read_chunk(reader, &mut left) {
+                Ok(bytes) => bytes,
+                Err(e) => {
+                    // The server still holds an open transfer on this
+                    // connection; abandoning it mid-stream makes the
+                    // connection unusable for anything else.
+                    self.poisoned = true;
+                    return Err(ProtocolError::Io(e));
+                }
+            };
+            let resp = self.call(&Request::PutChunk { id, seq, bytes })?;
+            // The final chunk's answer is the put's result; a typed
+            // error ends the transfer server-side, and the frame
+            // stream stays aligned, so no poisoning.
+            if left == 0 || resp != Response::Ok {
+                return Ok(resp);
             }
             seq += 1;
-            sent += take as u64;
         }
-        self.call(&Request::PutCommit { id })
     }
 
-    /// Reads a whole object, transparently falling back to chunked
-    /// transfer when the server reports it will not fit one frame.
-    /// Returns [`Response::Blob`] with the bytes, or the server's typed
-    /// error.
+    /// Reads a whole object. Returns [`Response::Blob`] with the bytes,
+    /// or the server's typed error.
     ///
     /// # Errors
     ///
@@ -304,77 +242,71 @@ impl Conn {
     }
 
     /// [`Conn::get_object`] for a destination that streams: the object
-    /// bytes go straight to `out` chunk by chunk, never whole in
-    /// memory on the chunked path. Returns [`Response::Ok`] once every
-    /// byte is written, or the server's typed error (nothing or a
-    /// prefix may have been written by then).
+    /// bytes go straight to `out` window by window, never whole in
+    /// memory when the object spans several windows. Returns
+    /// [`Response::Ok`] once every byte is written, or the server's
+    /// typed error (nothing or a prefix may have been written by then).
     ///
     /// # Errors
     ///
     /// [`ProtocolError`] on transport failure or a failed local write
-    /// (the latter poisons the connection — the transfer is abandoned
+    /// (which poisons the connection: a download may be left open
     /// mid-stream).
     pub fn get_writer(
         &mut self,
         name: &str,
         out: &mut impl Write,
     ) -> Result<Response, ProtocolError> {
-        match self.call(&Request::GetObject {
+        // A one-window object is the degenerate download: its only
+        // window, already the last.
+        let (id, object_len, mut bytes, mut eof) = match self.call(&Request::GetObject {
             name: name.to_string(),
         })? {
-            Response::Blob(bytes) => {
-                if let Err(e) = out.write_all(&bytes) {
-                    return Err(ProtocolError::Io(e));
-                }
-                Ok(Response::Ok)
-            }
-            // The server's whole-frame refusal for oversize objects:
-            // switch to the chunked protocol on the same (still
-            // aligned) connection.
-            Response::Err {
-                kind: ErrorKind::OutOfRange,
-                ..
-            } => self.get_chunked(name, out),
-            other => Ok(other),
-        }
-    }
-
-    fn get_chunked(&mut self, name: &str, out: &mut impl Write) -> Result<Response, ProtocolError> {
-        let (id, object_len) = match self.call(&Request::GetStart {
-            name: name.to_string(),
-        })? {
-            Response::GetBegun { id, object_len, .. } => (id, object_len),
+            Response::Blob(bytes) => (0, bytes.len() as u64, bytes, true),
+            Response::GetBegun {
+                id,
+                object_len,
+                bytes,
+            } => (id, object_len, bytes, false),
             other => return Ok(other),
         };
         let mut got = 0u64;
         loop {
+            got += bytes.len() as u64;
+            if let Err(e) = out.write_all(&bytes) {
+                self.poisoned = true;
+                return Err(ProtocolError::Io(e));
+            }
+            if eof {
+                if got != object_len {
+                    self.poisoned = true;
+                    return Err(ProtocolError::Unexpected(
+                        "download ended at the wrong length",
+                    ));
+                }
+                return Ok(Response::Ok);
+            }
             match self.call(&Request::GetChunk { id })? {
                 Response::Chunk {
                     id: rid,
-                    eof,
-                    bytes,
-                } => {
-                    if rid != id {
-                        self.poisoned = true;
-                        return Err(ProtocolError::Unexpected("chunk for a different transfer"));
-                    }
-                    got += bytes.len() as u64;
-                    if let Err(e) = out.write_all(&bytes) {
-                        self.poisoned = true;
-                        return Err(ProtocolError::Io(e));
-                    }
-                    if eof {
-                        if got != object_len {
-                            self.poisoned = true;
-                            return Err(ProtocolError::Unexpected(
-                                "chunked transfer ended at the wrong length",
-                            ));
-                        }
-                        return Ok(Response::Ok);
-                    }
+                    eof: last,
+                    bytes: next,
+                } if rid == id => (eof, bytes) = (last, next),
+                Response::Chunk { .. } => {
+                    self.poisoned = true;
+                    return Err(ProtocolError::Unexpected("chunk for a different transfer"));
                 }
                 other => return Ok(other),
             }
         }
     }
+}
+
+/// Reads the next put chunk — [`CHUNK_BYTES`], or the `left` bytes that
+/// remain when fewer — and counts it off `left`.
+fn read_chunk(reader: &mut impl Read, left: &mut u64) -> std::io::Result<Vec<u8>> {
+    let mut bytes = vec![0u8; (CHUNK_BYTES as u64).min(*left) as usize];
+    reader.read_exact(&mut bytes)?;
+    *left -= bytes.len() as u64;
+    Ok(bytes)
 }

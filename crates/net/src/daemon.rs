@@ -149,10 +149,7 @@ pub fn handle_block_request<S: BlockStore>(store: &RwLock<S>, req: &Request) -> 
         Request::Ping => Response::Ok,
         Request::PutObject { .. }
         | Request::GetObject { .. }
-        | Request::PutStart { .. }
         | Request::PutChunk { .. }
-        | Request::PutCommit { .. }
-        | Request::GetStart { .. }
         | Request::GetChunk { .. } => Response::Err {
             kind: ErrorKind::Protocol,
             message: "object-plane request sent to a storage daemon".into(),

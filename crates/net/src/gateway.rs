@@ -1,10 +1,10 @@
 //! The gateway: object-plane TCP service in front of a [`Dfs`].
 //!
 //! Clients speak the gateway plane of [`proto`](crate::proto)
-//! (`PutObject` / `GetObject` / `Ping`); the gateway runs the full
-//! erasure-coding pipeline against its block stores — normally
-//! [`RemoteStore`](crate::RemoteStore) clients for a set of storage
-//! daemons — and streams the result back. Reads share the `Dfs` read
+//! (`PutObject` / `PutChunk`, `GetObject` / `GetChunk`, `Ping`); the
+//! gateway runs the full erasure-coding pipeline against its block
+//! stores — normally [`RemoteStore`](crate::RemoteStore) clients for a
+//! set of storage daemons — and streams the result back. Reads share the `Dfs` read
 //! lock and run concurrently; writes serialize on the write lock.
 //!
 //! ## Admission control
@@ -21,17 +21,21 @@
 //! at most `max_inflight` requests hold decode buffers, and each
 //! connection holds at most one frame in flight.
 //!
-//! ## Chunked transfers
+//! ## Object transfers
 //!
-//! Objects larger than one frame move through the chunked plane
-//! (`PutStart`/`PutChunk`/`PutCommit`, `GetStart`/`GetChunk`). Each
-//! chunk is its own admitted request, so a multi-gigabyte transfer
-//! holds an admission slot only while one chunk is being coded, and
-//! the gateway's buffering per transfer is one chunk plus the
-//! erasure pipeline's coding-group window — never the whole object.
-//! Transfer sessions live on the connection that opened them; a
-//! connection that drops mid-put has its staged upload aborted and
-//! its blocks reclaimed.
+//! Every object transfer is a session of one state machine, and a
+//! transfer that fits one chunk window ([`CHUNK_BYTES`]) is its
+//! simplest case: one request, one response, no session. A `PutObject`
+//! carries the object's length and first chunk, and the `PutChunk`
+//! that completes the object commits it; a `GetObject` of an object
+//! larger than one window answers `GetBegun` with the first window,
+//! and `GetChunk`s pull the rest. Each frame is its own admitted
+//! request, so a multi-gigabyte transfer holds an admission slot only
+//! while one chunk is being coded, and the gateway's buffering per
+//! transfer is one chunk plus the erasure pipeline's coding-group
+//! window — never the whole object. Transfer sessions live on the
+//! connection that opened them; a connection that drops mid-put has
+//! its staged upload aborted and its blocks reclaimed.
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
@@ -43,10 +47,9 @@ use std::time::{Duration, Instant};
 use galloper_dfs::{BlockStore, Dfs, DfsError, ErasureCode};
 use galloper_obs::{global, global_trace, op, Json};
 
-use crate::conn::{chunk_bytes_from_env, WHOLE_OBJECT_MAX};
 use crate::daemon::{service_uptime_ms, spawn_refusal};
 use crate::frame::FrameReader;
-use crate::proto::{ErrorKind, ProtocolError, Request, Response, PROTO_VERSION};
+use crate::proto::{ErrorKind, ProtocolError, Request, Response, CHUNK_BYTES, PROTO_VERSION};
 use crate::scrape::Scraper;
 
 /// Default admission-queue width.
@@ -57,10 +60,11 @@ pub const DEFAULT_MAX_INFLIGHT: usize = 256;
 /// `GALLOPER_ADMISSION_MS` (see [`admission_timeout_from_env`]).
 pub const ADMISSION_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Open chunked-transfer sessions allowed per connection. The `Conn`
+/// Open multi-frame transfers allowed per connection. The `Conn`
 /// client drives one transfer at a time; a small allowance covers
 /// hand-written clients interleaving a put and a get, while still
-/// bounding what one connection can pin.
+/// bounding what one connection can pin. A transfer that fits one
+/// chunk window opens no session and is never refused by this bound.
 const MAX_STREAM_SESSIONS: usize = 4;
 
 /// How often a blocked worker wakes to check for shutdown.
@@ -300,60 +304,6 @@ impl Gateway {
     }
 }
 
-/// Dispatches one object-plane request against the `Dfs`. Block-plane
-/// requests are refused with a typed error: a gateway is not a daemon.
-fn handle_object_request<C, S>(dfs: &RwLock<Dfs<C, S>>, req: Request) -> Response
-where
-    C: ErasureCode,
-    S: BlockStore,
-{
-    match req {
-        Request::PutObject { name, bytes } => {
-            let mut d = dfs.write().unwrap_or_else(|e| e.into_inner());
-            match d.put(&name, &bytes) {
-                Ok(_) => Response::Ok,
-                Err(e) => Response::Err {
-                    kind: kind_of_dfs(&e),
-                    message: e.to_string(),
-                },
-            }
-        }
-        Request::GetObject { name } => {
-            let d = dfs.read().unwrap_or_else(|e| e.into_inner());
-            // An object too large for one response frame is refused
-            // with a *typed* error rather than a doomed oversize
-            // frame: old clients get a clean failure instead of a
-            // desynced connection, and new clients take exactly this
-            // error as the cue to retry via GetStart/GetChunk.
-            match d.object_manifest(&name) {
-                Ok(m) if m.object_len > WHOLE_OBJECT_MAX => {
-                    global().counter("net.gateway.oversize_refusals").inc();
-                    return Response::Err {
-                        kind: ErrorKind::OutOfRange,
-                        message: format!(
-                            "object is {} bytes, larger than one frame; use chunked transfer",
-                            m.object_len
-                        ),
-                    };
-                }
-                _ => {}
-            }
-            match d.get(&name) {
-                Ok(bytes) => Response::Blob(bytes),
-                Err(e) => Response::Err {
-                    kind: kind_of_dfs(&e),
-                    message: e.to_string(),
-                },
-            }
-        }
-        Request::Ping => Response::Ok,
-        _ => Response::Err {
-            kind: ErrorKind::Protocol,
-            message: "block-plane request sent to the gateway".into(),
-        },
-    }
-}
-
 fn dfs_err(e: &DfsError) -> Response {
     Response::Err {
         kind: kind_of_dfs(e),
@@ -361,86 +311,143 @@ fn dfs_err(e: &DfsError) -> Response {
     }
 }
 
-fn stream_protocol_err(message: String) -> Response {
+fn protocol_err(message: String) -> Response {
     Response::Err {
         kind: ErrorKind::Protocol,
         message,
     }
 }
 
-/// One open chunked upload: bytes received so far stream into the
-/// DFS's staged put (`put_begin`/`put_append`), so the gateway never
-/// holds more of the object than the current chunk.
-#[derive(Debug)]
-struct PutSession {
-    name: String,
-    declared_len: u64,
-    received: u64,
-    next_seq: u64,
+fn too_many_transfers() -> Response {
+    Response::Err {
+        kind: ErrorKind::Busy,
+        message: "too many open transfers on this connection; finish one first".into(),
+    }
 }
 
-/// One open chunked download: a cursor over the object's coding
-/// groups; each `GetChunk` decodes the next window of groups.
-#[derive(Debug)]
-struct GetSession {
-    name: String,
-    num_groups: usize,
-    groups_per_chunk: usize,
-    next_group: usize,
+/// Counts one frame's worth of a multi-frame transfer into
+/// `net.gateway.stream.{chunks,bytes}_{in,out}`.
+fn count_chunk(direction: &str, bytes: usize) {
+    global()
+        .counter(&format!("net.gateway.stream.chunks_{direction}"))
+        .inc();
+    global()
+        .counter(&format!("net.gateway.stream.bytes_{direction}"))
+        .add(bytes as u64);
 }
 
-/// Chunked-transfer state for one connection. Transfer ids are scoped
-/// to the connection that allocated them; the `net.gateway.stream.inflight`
+const GET_US: &str = "net.gateway.get_us";
+const PUT_US: &str = "net.gateway.put_us";
+
+/// Where an answered frame's gateway-side service time goes.
+#[derive(Debug, Clone, Copy)]
+enum Charge {
+    /// To open transfer `id`, which continues.
+    Open(u64),
+    /// Into the histogram named first, added to the service time of
+    /// the transfer's earlier frames (second): the transfer finished,
+    /// with success or a typed error.
+    Finished(&'static str, u64),
+    /// Nowhere: the frame named no open transfer, or the transfer was
+    /// refused as `Busy` (clients count that as shed load, not as an
+    /// answered transfer).
+    Nothing,
+}
+
+/// An open multi-frame transfer.
+#[derive(Debug)]
+struct Session {
+    name: String,
+    /// Gateway-side service time of the transfer's frames so far.
+    service_us: u64,
+    cursor: Cursor,
+}
+
+/// Where an open transfer stands.
+#[derive(Debug)]
+enum Cursor {
+    /// A put whose chunks stream into the DFS's staged put
+    /// (`put_begin`/`put_append`), so the gateway never holds more of
+    /// the object than the current chunk.
+    Put {
+        object_len: u64,
+        received: u64,
+        next_seq: u64,
+    },
+    /// A get: each `GetChunk` decodes the next window of coding groups.
+    Get {
+        num_groups: usize,
+        per_window: usize,
+        next_group: usize,
+    },
+}
+
+/// Open transfers of one connection. Transfer ids are scoped to the
+/// connection that allocated them; the `net.gateway.stream.inflight`
 /// gauge counts open sessions across all connections.
 #[derive(Debug)]
 struct StreamSessions {
     next_id: u64,
-    puts: HashMap<u64, PutSession>,
-    gets: HashMap<u64, GetSession>,
+    open: HashMap<u64, Session>,
 }
 
 impl StreamSessions {
     fn new() -> StreamSessions {
         StreamSessions {
             next_id: 1,
-            puts: HashMap::new(),
-            gets: HashMap::new(),
+            open: HashMap::new(),
         }
     }
 
     fn has_room(&self) -> bool {
-        self.puts.len() + self.gets.len() < MAX_STREAM_SESSIONS
+        self.open.len() < MAX_STREAM_SESSIONS
     }
 
-    fn alloc(&mut self) -> u64 {
+    fn open(&mut self, name: String, cursor: Cursor) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
+        let sess = Session {
+            name,
+            service_us: 0,
+            cursor,
+        };
+        self.open.insert(id, sess);
         global().gauge("net.gateway.stream.inflight").add(1);
         id
     }
 
-    /// Destroys an open upload and reclaims its staged blocks.
-    fn abort_put<C, S>(&mut self, dfs: &RwLock<Dfs<C, S>>, id: u64)
+    /// Closes transfer `id` — counted as an abort when `failed` (a
+    /// failed put's staged upload must already be gone) — and returns
+    /// the service time its frames took.
+    fn close(&mut self, id: u64, failed: bool) -> u64 {
+        let Some(sess) = self.open.remove(&id) else {
+            return 0;
+        };
+        global().gauge("net.gateway.stream.inflight").add(-1);
+        if failed {
+            global().counter("net.gateway.stream.aborts").inc();
+        }
+        sess.service_us
+    }
+
+    /// Destroys transfer `id`, reclaiming a put's staged blocks, and
+    /// returns the service time its frames took.
+    fn abort<C, S>(&mut self, dfs: &RwLock<Dfs<C, S>>, id: u64) -> u64
     where
         C: ErasureCode,
         S: BlockStore,
     {
-        if let Some(sess) = self.puts.remove(&id) {
-            let _ = dfs
-                .write()
+        if let Some(Session {
+            name,
+            cursor: Cursor::Put { .. },
+            ..
+        }) = self.open.get(&id)
+        {
+            dfs.write()
                 .unwrap_or_else(|e| e.into_inner())
-                .put_abort(&sess.name);
-            global().counter("net.gateway.stream.aborts").inc();
-            global().gauge("net.gateway.stream.inflight").add(-1);
+                .put_abort(name);
         }
-    }
-
-    /// Destroys an open download (no server-side state to reclaim).
-    fn abort_get(&mut self, id: u64) {
-        if self.gets.remove(&id).is_some() {
-            global().counter("net.gateway.stream.aborts").inc();
-            global().gauge("net.gateway.stream.inflight").add(-1);
-        }
+        self.close(id, true)
     }
 
     /// Connection teardown: every open transfer dies with the
@@ -450,218 +457,231 @@ impl StreamSessions {
         C: ErasureCode,
         S: BlockStore,
     {
-        let puts: Vec<u64> = self.puts.keys().copied().collect();
-        for id in puts {
-            self.abort_put(dfs, id);
+        for id in self.open.keys().copied().collect::<Vec<_>>() {
+            self.abort(dfs, id);
         }
-        let gets: Vec<u64> = self.gets.keys().copied().collect();
-        for id in gets {
-            self.abort_get(id);
+    }
+
+    /// Books `us` of service time as `charge` directs.
+    fn charge(&mut self, charge: Charge, us: u64) {
+        match charge {
+            Charge::Open(id) => {
+                if let Some(sess) = self.open.get_mut(&id) {
+                    sess.service_us += us;
+                }
+            }
+            Charge::Finished(histogram, prior_us) => {
+                global().histogram(histogram).record(prior_us + us);
+            }
+            Charge::Nothing => {}
         }
     }
 }
 
-/// Whether a request belongs to the chunked-transfer plane (and so
-/// needs per-connection session state).
-fn is_stream_request(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::PutStart { .. }
-            | Request::PutChunk { .. }
-            | Request::PutCommit { .. }
-            | Request::GetStart { .. }
-            | Request::GetChunk { .. }
-    )
-}
-
-/// Dispatches one chunked-transfer request. Any typed error destroys
-/// the transfer it names (clients treat errors as transfer-over), so
-/// sessions never outlive a failed exchange.
-fn handle_stream_request<C, S>(
+/// Dispatches one admitted request: every object transfer is a session
+/// of this one state machine, and a transfer that fits one chunk
+/// window opens none. Any typed error ends the transfer it names
+/// (clients treat errors as transfer-over), so sessions never outlive a
+/// failed exchange. Block-plane requests are refused with a typed
+/// error: a gateway is not a daemon.
+fn handle_request<C, S>(
     dfs: &RwLock<Dfs<C, S>>,
     sessions: &mut StreamSessions,
     req: Request,
-) -> Response
+) -> (Response, Charge)
 where
     C: ErasureCode,
     S: BlockStore,
 {
     match req {
-        Request::PutStart { name, object_len } => {
-            if !sessions.has_room() {
-                return Response::Err {
-                    kind: ErrorKind::Busy,
-                    message: "too many open transfers on this connection; finish one first".into(),
-                };
-            }
-            let begun = dfs
-                .write()
-                .unwrap_or_else(|e| e.into_inner())
-                .put_begin(&name);
-            match begun {
-                Ok(_) => {
-                    let id = sessions.alloc();
-                    sessions.puts.insert(
-                        id,
-                        PutSession {
-                            name,
-                            declared_len: object_len,
-                            received: 0,
-                            next_seq: 0,
-                        },
-                    );
-                    Response::PutBegun { id }
-                }
-                Err(e) => dfs_err(&e),
-            }
-        }
-        Request::PutChunk { id, seq, bytes } => {
-            let (name, expected_seq, received, declared) = match sessions.puts.get(&id) {
-                Some(s) => (s.name.clone(), s.next_seq, s.received, s.declared_len),
-                None => {
-                    return stream_protocol_err(format!("no open transfer {id} on this connection"))
-                }
-            };
-            if seq != expected_seq {
-                sessions.abort_put(dfs, id);
-                return stream_protocol_err(format!(
-                    "transfer {id}: chunk seq {seq}, expected {expected_seq}"
-                ));
-            }
-            if received + bytes.len() as u64 > declared {
-                sessions.abort_put(dfs, id);
-                return stream_protocol_err(format!(
-                    "transfer {id} overran its declared length of {declared} bytes"
-                ));
-            }
-            let appended = dfs
-                .write()
-                .unwrap_or_else(|e| e.into_inner())
-                .put_append(&name, &bytes);
-            match appended {
-                Ok(()) => {
-                    let s = sessions.puts.get_mut(&id).expect("session checked above");
-                    s.next_seq += 1;
-                    s.received += bytes.len() as u64;
-                    global().counter("net.gateway.stream.chunks_in").inc();
-                    global()
-                        .counter("net.gateway.stream.bytes_in")
-                        .add(bytes.len() as u64);
-                    Response::Ok
-                }
-                Err(e) => {
-                    let resp = dfs_err(&e);
-                    sessions.abort_put(dfs, id);
-                    resp
-                }
-            }
-        }
-        Request::PutCommit { id } => {
-            let Some(sess) = sessions.puts.remove(&id) else {
-                return stream_protocol_err(format!("no open transfer {id} on this connection"));
-            };
-            global().gauge("net.gateway.stream.inflight").add(-1);
-            if sess.received != sess.declared_len {
-                let _ = dfs
+        Request::PutObject {
+            name,
+            object_len,
+            bytes,
+        } => {
+            let first = bytes.len() as u64;
+            if first == object_len {
+                let put = dfs
                     .write()
                     .unwrap_or_else(|e| e.into_inner())
-                    .put_abort(&sess.name);
-                global().counter("net.gateway.stream.aborts").inc();
-                return stream_protocol_err(format!(
-                    "transfer {id} committed after {} of {} declared bytes",
-                    sess.received, sess.declared_len
-                ));
+                    .put(&name, &bytes);
+                let resp = put.map_or_else(|e| dfs_err(&e), |_| Response::Ok);
+                return (resp, Charge::Finished(PUT_US, 0));
             }
-            let committed = dfs
-                .write()
-                .unwrap_or_else(|e| e.into_inner())
-                .put_commit(&sess.name);
-            match committed {
-                Ok(_) => Response::Ok,
-                // put_commit reclaims its own blocks on failure.
-                Err(e) => {
-                    global().counter("net.gateway.stream.aborts").inc();
-                    dfs_err(&e)
+            if first > object_len {
+                let message = format!("put of {object_len} bytes sent {first} in its first chunk");
+                return (protocol_err(message), Charge::Finished(PUT_US, 0));
+            }
+            if !sessions.has_room() {
+                return (too_many_transfers(), Charge::Nothing);
+            }
+            let opened = {
+                let mut d = dfs.write().unwrap_or_else(|e| e.into_inner());
+                d.put_begin(&name).and_then(|_| {
+                    d.put_append(&name, &bytes).inspect_err(|_| {
+                        d.put_abort(&name);
+                        global().counter("net.gateway.stream.aborts").inc();
+                    })
+                })
+            };
+            if let Err(e) = opened {
+                return (dfs_err(&e), Charge::Finished(PUT_US, 0));
+            }
+            count_chunk("in", bytes.len());
+            let cursor = Cursor::Put {
+                object_len,
+                received: first,
+                next_seq: 1,
+            };
+            let id = sessions.open(name, cursor);
+            (Response::PutBegun { id }, Charge::Open(id))
+        }
+        Request::PutChunk { id, seq, bytes } => {
+            let Some(Session {
+                name,
+                cursor:
+                    Cursor::Put {
+                        object_len,
+                        received,
+                        next_seq,
+                    },
+                ..
+            }) = sessions.open.get_mut(&id)
+            else {
+                let message = format!("no open put {id} on this connection");
+                return (protocol_err(message), Charge::Nothing);
+            };
+            let total = *received + bytes.len() as u64;
+            let refusal = if seq != *next_seq {
+                Some(format!(
+                    "transfer {id}: chunk seq {seq}, expected {next_seq}"
+                ))
+            } else if total > *object_len {
+                Some(format!(
+                    "transfer {id} overran its declared length of {object_len} bytes"
+                ))
+            } else {
+                None
+            };
+            if let Some(message) = refusal {
+                let prior_us = sessions.abort(dfs, id);
+                return (protocol_err(message), Charge::Finished(PUT_US, prior_us));
+            }
+            let last = total == *object_len;
+            (*received, *next_seq) = (total, seq + 1);
+            let stored = {
+                let mut d = dfs.write().unwrap_or_else(|e| e.into_inner());
+                let res = d.put_append(name, &bytes).and_then(|()| {
+                    // The chunk that completes the object commits it.
+                    if last {
+                        d.put_commit(name).map(drop)
+                    } else {
+                        Ok(())
+                    }
+                });
+                // A failed append leaves the upload open and a failed
+                // commit has already destroyed it; either way, under
+                // this same lock, nothing of it is left.
+                if res.is_err() {
+                    d.put_abort(name);
+                }
+                res
+            };
+            match stored {
+                Err(e) => (
+                    dfs_err(&e),
+                    Charge::Finished(PUT_US, sessions.close(id, true)),
+                ),
+                Ok(()) => {
+                    count_chunk("in", bytes.len());
+                    if last {
+                        (
+                            Response::Ok,
+                            Charge::Finished(PUT_US, sessions.close(id, false)),
+                        )
+                    } else {
+                        (Response::Ok, Charge::Open(id))
+                    }
                 }
             }
         }
-        Request::GetStart { name } => {
-            if !sessions.has_room() {
-                return Response::Err {
-                    kind: ErrorKind::Busy,
-                    message: "too many open transfers on this connection; finish one first".into(),
-                };
-            }
+        Request::GetObject { name } => {
             let d = dfs.read().unwrap_or_else(|e| e.into_inner());
             let manifest = match d.object_manifest(&name) {
                 Ok(m) => m,
-                Err(e) => return dfs_err(&e),
+                Err(e) => return (dfs_err(&e), Charge::Finished(GET_US, 0)),
             };
-            let message_len = d.code().message_len();
-            drop(d);
-            // Chunks are whole multiples of a coding group's payload,
-            // so each GetChunk decodes a clean window of groups.
-            let groups_per_chunk = (chunk_bytes_from_env() / message_len).max(1);
-            let id = sessions.alloc();
-            sessions.gets.insert(
-                id,
-                GetSession {
-                    name,
-                    num_groups: manifest.num_groups,
-                    groups_per_chunk,
-                    next_group: 0,
-                },
-            );
-            Response::GetBegun {
-                id,
-                object_len: manifest.object_len as u64,
-                chunk_bytes: (groups_per_chunk * message_len) as u64,
+            // Windows are whole coding groups, so each decodes cleanly.
+            let per_window = (CHUNK_BYTES / d.code().message_len()).max(1);
+            if manifest.num_groups <= per_window {
+                let resp = d.get(&name).map_or_else(|e| dfs_err(&e), Response::Blob);
+                return (resp, Charge::Finished(GET_US, 0));
             }
+            if !sessions.has_room() {
+                return (too_many_transfers(), Charge::Nothing);
+            }
+            let bytes = match d.read_groups(&name, 0, per_window) {
+                Ok(bytes) => bytes,
+                Err(e) => return (dfs_err(&e), Charge::Finished(GET_US, 0)),
+            };
+            drop(d);
+            count_chunk("out", bytes.len());
+            let cursor = Cursor::Get {
+                num_groups: manifest.num_groups,
+                per_window,
+                next_group: per_window,
+            };
+            let id = sessions.open(name, cursor);
+            let object_len = manifest.object_len as u64;
+            let resp = Response::GetBegun {
+                id,
+                object_len,
+                bytes,
+            };
+            (resp, Charge::Open(id))
         }
         Request::GetChunk { id } => {
-            let (name, next_group, groups_per_chunk, num_groups) = match sessions.gets.get(&id) {
-                Some(s) => (
-                    s.name.clone(),
-                    s.next_group,
-                    s.groups_per_chunk,
-                    s.num_groups,
-                ),
-                None => {
-                    return stream_protocol_err(format!("no open transfer {id} on this connection"))
-                }
+            let Some(Session {
+                name,
+                cursor:
+                    Cursor::Get {
+                        num_groups,
+                        per_window,
+                        next_group,
+                    },
+                ..
+            }) = sessions.open.get_mut(&id)
+            else {
+                let message = format!("no open get {id} on this connection");
+                return (protocol_err(message), Charge::Nothing);
             };
             let read = dfs.read().unwrap_or_else(|e| e.into_inner()).read_groups(
-                &name,
-                next_group,
-                groups_per_chunk,
+                name,
+                *next_group,
+                *per_window,
             );
+            *next_group += *per_window;
+            let eof = *next_group >= *num_groups;
             match read {
+                Err(e) => (
+                    dfs_err(&e),
+                    Charge::Finished(GET_US, sessions.abort(dfs, id)),
+                ),
                 Ok(bytes) => {
-                    global().counter("net.gateway.stream.chunks_out").inc();
-                    global()
-                        .counter("net.gateway.stream.bytes_out")
-                        .add(bytes.len() as u64);
-                    let eof = next_group + groups_per_chunk >= num_groups;
-                    if eof {
-                        sessions.gets.remove(&id);
-                        global().gauge("net.gateway.stream.inflight").add(-1);
+                    count_chunk("out", bytes.len());
+                    let charge = if eof {
+                        Charge::Finished(GET_US, sessions.close(id, false))
                     } else {
-                        sessions
-                            .gets
-                            .get_mut(&id)
-                            .expect("session checked above")
-                            .next_group = next_group + groups_per_chunk;
-                    }
-                    Response::Chunk { id, eof, bytes }
-                }
-                Err(e) => {
-                    let resp = dfs_err(&e);
-                    sessions.abort_get(id);
-                    resp
+                        Charge::Open(id)
+                    };
+                    (Response::Chunk { id, eof, bytes }, charge)
                 }
             }
         }
-        _ => stream_protocol_err("non-stream request routed to the stream handler".into()),
+        _ => (
+            protocol_err("block-plane request sent to the gateway".into()),
+            Charge::Nothing,
+        ),
     }
 }
 
@@ -697,10 +717,12 @@ fn gateway_stats_doc(scraper: Option<&Scraper>) -> Json {
 /// work precisely when the admission queue is saturated, and neither
 /// touches the `Dfs`. Admitted object requests run under a
 /// `gateway.request` span (joined to the client's trace context when
-/// the frame carried one) and are timed into per-kind histograms —
-/// `net.gateway.get_us` / `net.gateway.put_us` count *only* admitted,
-/// answered requests, which is what makes the loadgen's
-/// responses-vs-histogram-count cross-check exact.
+/// the frame carried one) and are timed per transfer —
+/// `net.gateway.get_us` / `net.gateway.put_us` record one sample per
+/// transfer an admitted frame finishes (its service time summed over
+/// its frames), and none for a transfer refused as `Busy`, which is
+/// what makes the loadgen's responses-vs-histogram-count cross-check
+/// exact at every object size.
 fn serve_conn<C, S>(
     stream: TcpStream,
     dfs: &RwLock<Dfs<C, S>>,
@@ -782,11 +804,6 @@ fn conn_loop<C, S>(
                         global()
                             .histogram("net.gateway.admission_wait_us")
                             .record(wait.elapsed().as_micros() as u64);
-                        let kind = match req {
-                            Request::GetObject { .. } => Some("net.gateway.get_us"),
-                            Request::PutObject { .. } => Some("net.gateway.put_us"),
-                            _ => None,
-                        };
                         let _ctx = ctx.map(|c| {
                             op::install(op::OpContext {
                                 op: c.op,
@@ -797,16 +814,8 @@ fn conn_loop<C, S>(
                         let inflight = global().gauge("net.gateway.inflight");
                         inflight.add(1);
                         let started = Instant::now();
-                        let resp = if is_stream_request(&req) {
-                            handle_stream_request(dfs, sessions, req)
-                        } else {
-                            handle_object_request(dfs, req)
-                        };
-                        if let Some(name) = kind {
-                            global()
-                                .histogram(name)
-                                .record(started.elapsed().as_micros() as u64);
-                        }
+                        let (resp, charge) = handle_request(dfs, sessions, req);
+                        sessions.charge(charge, started.elapsed().as_micros() as u64);
                         inflight.add(-1);
                         admission.release();
                         resp
@@ -816,12 +825,8 @@ fn conn_loop<C, S>(
                         // client treats any typed error as
                         // transfer-over), so destroy the session
                         // rather than leak it until conn close.
-                        match &req {
-                            Request::PutChunk { id, .. } | Request::PutCommit { id } => {
-                                sessions.abort_put(dfs, *id);
-                            }
-                            Request::GetChunk { id } => sessions.abort_get(*id),
-                            _ => {}
+                        if let Request::PutChunk { id, .. } | Request::GetChunk { id } = &req {
+                            sessions.abort(dfs, *id);
                         }
                         Response::Err {
                             kind: ErrorKind::Busy,

@@ -54,7 +54,7 @@ pub mod proto;
 mod remote;
 pub mod scrape;
 
-pub use conn::{chunk_bytes_from_env, Conn, DEFAULT_CHUNK_BYTES, WHOLE_OBJECT_MAX};
+pub use conn::Conn;
 pub use daemon::{node_stats_doc, Daemon, DaemonHandle};
 pub use frame::{FrameReader, FRAME_HEADER, MAX_FRAME};
 pub use gateway::{
@@ -62,7 +62,8 @@ pub use gateway::{
     ADMISSION_TIMEOUT, DEFAULT_MAX_INFLIGHT,
 };
 pub use proto::{
-    ErrorKind, NodeVitals, ProtocolError, Request, Response, TraceContext, PROTO_VERSION,
+    ErrorKind, NodeVitals, ProtocolError, Request, Response, TraceContext, CHUNK_BYTES,
+    PROTO_VERSION,
 };
 pub use remote::{RemoteStore, DEFAULT_TIMEOUT};
 pub use scrape::{

@@ -8,7 +8,9 @@
 //!   repair process) issues against one storage daemon, keyed by
 //!   [`BlockKey`];
 //! * the **gateway plane** — object-granular operations a client
-//!   issues against the gateway, keyed by object name.
+//!   issues against the gateway, keyed by object name. Every object
+//!   transfer is one session; an object that fits [`CHUNK_BYTES`]
+//!   takes one frame each way.
 //!
 //! Error responses carry a stable numeric [`ErrorKind`] so clients can
 //! dispatch on failure class without parsing prose, plus a free-form
@@ -33,10 +35,19 @@ use galloper_dfs::BlockKey;
 
 /// Protocol revision stamped into [`NodeVitals`]. Bumped when the wire
 /// format gains messages or extensions; peers use it for display and
-/// compatibility diagnostics, never for dispatch. Version 3 added the
-/// chunked-transfer messages (`PutStart`/`PutChunk`/`PutCommit`,
-/// `GetStart`/`GetChunk`), lifting the one-frame 64 MiB object cap.
-pub const PROTO_VERSION: u32 = 3;
+/// compatibility diagnostics, never for dispatch. Version 3 added
+/// chunked transfers; version 4 made every object transfer one session
+/// shape: `PutObject` carries the object length and its first chunk,
+/// `GetBegun` carries the first window, and version 3's separate open
+/// and commit requests (tags 0x13, 0x15, 0x16) are retired.
+pub const PROTO_VERSION: u32 = 4;
+
+/// The chunk window of an object transfer. A put sends the object in
+/// slices of this size; a get answers in windows of whole coding groups
+/// of at most this size (or one group, when a group is larger). An
+/// object that fits one chunk crosses the wire in one request frame and
+/// one response frame.
+pub const CHUNK_BYTES: usize = 4 << 20;
 
 /// A request's operation context, carried across the wire so the
 /// server's spans join the client's trace tree (ids are
@@ -245,57 +256,44 @@ pub enum Request {
     /// cluster view.
     Stats,
     // Gateway plane: object-granular, issued by clients.
-    /// Encode and store an object under a name.
+    /// Open a put of an `object_len`-byte object, carrying its first
+    /// chunk. When `bytes` is the whole object the put completes in
+    /// this one exchange ([`Response::Ok`]); otherwise the gateway
+    /// answers [`Response::PutBegun`] and the rest follows as
+    /// [`Request::PutChunk`]s.
     PutObject {
         /// Object name.
         name: String,
-        /// Object payload.
+        /// Total object length; the put commits once this many bytes
+        /// have arrived.
+        object_len: u64,
+        /// The object's first bytes (all of them, for a one-frame put).
         bytes: Vec<u8>,
     },
-    /// Read a whole object back (degraded-tolerant).
+    /// Read an object (degraded-tolerant). An object that fits one
+    /// window comes back whole as [`Response::Blob`]; a larger one
+    /// opens a download answered with [`Response::GetBegun`], and the
+    /// client pulls the rest one [`Request::GetChunk`] at a time.
     GetObject {
         /// Object name.
         name: String,
     },
     /// Liveness check; answered with [`Response::Ok`].
     Ping,
-    /// Open a chunked upload (the streaming alternative to
-    /// [`Request::PutObject`], required once an object outgrows one
-    /// frame). Answered with [`Response::PutBegun`] carrying the
-    /// transfer id every subsequent chunk names.
-    PutStart {
-        /// Object name.
-        name: String,
-        /// Total object length the client intends to send; the commit
-        /// verifies the chunks added up to exactly this.
-        object_len: u64,
-    },
-    /// One slice of an open upload. `seq` starts at 0 and increments by
-    /// one per chunk; a gap or replay aborts the transfer with a
-    /// [`ErrorKind::Protocol`] error. Answered with [`Response::Ok`].
+    /// The next slice of an open put. `seq` is 1 for the first chunk
+    /// after the [`Request::PutObject`] and increments by one; a gap or
+    /// replay aborts the transfer with an [`ErrorKind::Protocol`]
+    /// error. The chunk that brings the bytes received up to
+    /// `object_len` commits the object. Answered with [`Response::Ok`].
     PutChunk {
         /// Transfer id from [`Response::PutBegun`].
         id: u64,
-        /// 0-based chunk sequence number.
+        /// Chunk sequence number (the `PutObject` was chunk 0).
         seq: u64,
         /// The slice's bytes (any size that fits a frame).
         bytes: Vec<u8>,
     },
-    /// Seal an open upload, publishing the object to readers. Answered
-    /// with [`Response::Ok`].
-    PutCommit {
-        /// Transfer id from [`Response::PutBegun`].
-        id: u64,
-    },
-    /// Open a chunked download. Answered with [`Response::GetBegun`]
-    /// (length + server-chosen chunk size); the client then pulls
-    /// chunks one [`Request::GetChunk`] at a time, preserving the
-    /// one-outstanding-request discipline of the half-duplex `Conn`.
-    GetStart {
-        /// Object name.
-        name: String,
-    },
-    /// Pull the next chunk of an open download. Answered with
+    /// Pull the next window of an open download. Answered with
     /// [`Response::Chunk`]; `eof` on the final one closes the transfer.
     GetChunk {
         /// Transfer id from [`Response::GetBegun`].
@@ -342,22 +340,24 @@ pub enum Response {
         /// Human-readable detail (never required for dispatch).
         message: String,
     },
-    /// A chunked upload is open ([`Request::PutStart`] accepted).
+    /// A multi-chunk put is open: its [`Request::PutObject`] carried
+    /// less than the whole object.
     PutBegun {
         /// Transfer id for this connection's upload.
         id: u64,
     },
-    /// A chunked download is open ([`Request::GetStart`] accepted).
+    /// A multi-window download is open: the [`Request::GetObject`]'s
+    /// object is larger than one window.
     GetBegun {
         /// Transfer id for this connection's download.
         id: u64,
         /// Total object length the transfer will deliver.
         object_len: u64,
-        /// Server-chosen chunk size: every [`Response::Chunk`] except
-        /// the last carries exactly this many bytes.
-        chunk_bytes: u64,
+        /// The first window. Every [`Response::Chunk`] except the last
+        /// carries exactly as many bytes.
+        bytes: Vec<u8>,
     },
-    /// One slice of an open download.
+    /// One window of an open download.
     Chunk {
         /// The transfer it belongs to.
         id: u64,
@@ -381,10 +381,9 @@ const T_STATS: u8 = 0x07;
 const T_PUT_OBJECT: u8 = 0x10;
 const T_GET_OBJECT: u8 = 0x11;
 const T_PING: u8 = 0x12;
-const T_PUT_START: u8 = 0x13;
+// 0x13, 0x15 and 0x16 were version 3's put-open, put-commit and get-open
+// requests; they stay unassigned so a version-3 client gets `UnknownTag`.
 const T_PUT_CHUNK: u8 = 0x14;
-const T_PUT_COMMIT: u8 = 0x15;
-const T_GET_START: u8 = 0x16;
 const T_GET_CHUNK: u8 = 0x17;
 const T_OK: u8 = 0x81;
 const T_BLOB: u8 = 0x82;
@@ -521,28 +520,6 @@ impl<'a> Reader<'a> {
 }
 
 impl Request {
-    /// A short static name for the request kind, used as span names
-    /// and metric-key suffixes.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Request::PutBlock { .. } => "put_block",
-            Request::GetBlock { .. } => "get_block",
-            Request::DeleteBlock { .. } => "delete_block",
-            Request::ScanBlocks => "scan_blocks",
-            Request::Probe => "probe",
-            Request::Wipe => "wipe",
-            Request::Stats => "stats",
-            Request::PutObject { .. } => "put_object",
-            Request::GetObject { .. } => "get_object",
-            Request::Ping => "ping",
-            Request::PutStart { .. } => "put_start",
-            Request::PutChunk { .. } => "put_chunk",
-            Request::PutCommit { .. } => "put_commit",
-            Request::GetStart { .. } => "get_start",
-            Request::GetChunk { .. } => "get_chunk",
-        }
-    }
-
     /// Encodes into a frame payload (no trace context).
     pub fn encode(&self) -> Vec<u8> {
         self.encode_with_ctx(None)
@@ -585,9 +562,14 @@ impl Request {
             Request::Probe => Writer::new(T_PROBE).out,
             Request::Wipe => Writer::new(T_WIPE).out,
             Request::Stats => Writer::new(T_STATS).out,
-            Request::PutObject { name, bytes } => {
+            Request::PutObject {
+                name,
+                object_len,
+                bytes,
+            } => {
                 let mut w = Writer::new(T_PUT_OBJECT);
                 w.bytes(name.as_bytes());
+                w.u64(*object_len);
                 w.bytes(bytes);
                 w.out
             }
@@ -597,27 +579,11 @@ impl Request {
                 w.out
             }
             Request::Ping => Writer::new(T_PING).out,
-            Request::PutStart { name, object_len } => {
-                let mut w = Writer::new(T_PUT_START);
-                w.bytes(name.as_bytes());
-                w.u64(*object_len);
-                w.out
-            }
             Request::PutChunk { id, seq, bytes } => {
                 let mut w = Writer::new(T_PUT_CHUNK);
                 w.u64(*id);
                 w.u64(*seq);
                 w.bytes(bytes);
-                w.out
-            }
-            Request::PutCommit { id } => {
-                let mut w = Writer::new(T_PUT_COMMIT);
-                w.u64(*id);
-                w.out
-            }
-            Request::GetStart { name } => {
-                let mut w = Writer::new(T_GET_START);
-                w.bytes(name.as_bytes());
                 w.out
             }
             Request::GetChunk { id } => {
@@ -668,26 +634,17 @@ impl Request {
             T_STATS => Request::Stats,
             T_PUT_OBJECT => Request::PutObject {
                 name: r.string("put-object name")?,
+                object_len: r.u64("put-object length")?,
                 bytes: r.bytes("put-object bytes")?,
             },
             T_GET_OBJECT => Request::GetObject {
                 name: r.string("get-object name")?,
             },
             T_PING => Request::Ping,
-            T_PUT_START => Request::PutStart {
-                name: r.string("put-start name")?,
-                object_len: r.u64("put-start length")?,
-            },
             T_PUT_CHUNK => Request::PutChunk {
                 id: r.u64("put-chunk id")?,
                 seq: r.u64("put-chunk seq")?,
                 bytes: r.bytes("put-chunk bytes")?,
-            },
-            T_PUT_COMMIT => Request::PutCommit {
-                id: r.u64("put-commit id")?,
-            },
-            T_GET_START => Request::GetStart {
-                name: r.string("get-start name")?,
             },
             T_GET_CHUNK => Request::GetChunk {
                 id: r.u64("get-chunk id")?,
@@ -770,12 +727,12 @@ impl Response {
             Response::GetBegun {
                 id,
                 object_len,
-                chunk_bytes,
+                bytes,
             } => {
                 let mut w = Writer::new(T_GET_BEGUN);
                 w.u64(*id);
                 w.u64(*object_len);
-                w.u64(*chunk_bytes);
+                w.bytes(bytes);
                 w.out
             }
             Response::Chunk { id, eof, bytes } => {
@@ -844,7 +801,7 @@ impl Response {
             T_GET_BEGUN => Response::GetBegun {
                 id: r.u64("get-begun id")?,
                 object_len: r.u64("get-begun length")?,
-                chunk_bytes: r.u64("get-begun chunk size")?,
+                bytes: r.bytes("get-begun bytes")?,
             },
             T_CHUNK => Response::Chunk {
                 id: r.u64("chunk id")?,
@@ -949,82 +906,15 @@ mod tests {
     }
 
     #[test]
-    fn chunked_transfer_messages_roundtrip() {
-        let reqs = [
-            Request::PutStart {
-                name: "big/object".into(),
-                object_len: (200u64 << 20) + 17,
-            },
-            Request::PutChunk {
-                id: 7,
-                seq: 3,
-                bytes: vec![0xAB; 1000],
-            },
-            Request::PutCommit { id: 7 },
-            Request::GetStart {
-                name: "big/object".into(),
-            },
-            Request::GetChunk { id: 9 },
-        ];
-        for req in reqs {
-            assert_eq!(Request::decode(&req.encode()).unwrap(), req, "{req:?}");
-            // Trace contexts ride the new messages like any other.
-            let ctx = TraceContext { op: 5, span: 6 };
-            let framed = req.encode_with_ctx(Some(ctx));
-            let (got, got_ctx) = Request::decode_with_ctx(&framed).unwrap();
-            assert_eq!(got, req);
-            assert_eq!(got_ctx, Some(ctx));
-        }
-        let resps = [
-            Response::PutBegun { id: 7 },
-            Response::GetBegun {
-                id: 9,
-                object_len: (200u64 << 20) + 17,
-                chunk_bytes: 4 << 20,
-            },
-            Response::Chunk {
-                id: 9,
-                eof: true,
-                bytes: vec![1, 2, 3],
-            },
-            Response::Chunk {
-                id: 9,
-                eof: false,
-                bytes: Vec::new(),
-            },
-        ];
-        for resp in resps {
-            assert_eq!(Response::decode(&resp.encode()).unwrap(), resp, "{resp:?}");
-        }
-    }
-
-    #[test]
-    fn truncated_chunked_messages_are_malformed() {
-        let framed = Request::PutChunk {
-            id: 1,
-            seq: 2,
-            bytes: vec![9; 64],
-        }
-        .encode();
-        for cut in [1, 8, 16, 20, framed.len() - 1] {
+    fn retired_transfer_tags_are_unknown() {
+        for tag in [0x13u8, 0x15, 0x16] {
+            let mut framed = vec![tag];
+            framed.extend_from_slice(&7u64.to_le_bytes());
             assert!(
-                matches!(
-                    Request::decode(&framed[..cut]),
-                    Err(ProtocolError::Malformed(_))
-                ),
-                "cut={cut}"
+                matches!(Request::decode(&framed), Err(ProtocolError::UnknownTag(t)) if t == tag),
+                "tag {tag:#x}"
             );
         }
-        let framed = Response::GetBegun {
-            id: 1,
-            object_len: 2,
-            chunk_bytes: 3,
-        }
-        .encode();
-        assert!(Response::decode(&framed[..framed.len() - 1]).is_err());
-        let mut long = framed;
-        long.push(0);
-        assert!(Response::decode(&long).is_err());
     }
 
     #[test]

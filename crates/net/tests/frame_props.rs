@@ -25,14 +25,16 @@ fn arbitrary_name(rng: &mut TestRng) -> String {
         .collect()
 }
 
+fn arbitrary_bytes(rng: &mut TestRng) -> Vec<u8> {
+    let n = rng.usize_in(0, 4096);
+    rng.bytes(n)
+}
+
 fn arbitrary_request(rng: &mut TestRng) -> Request {
-    match rng.usize_in(0, 9) {
+    match rng.usize_in(0, 11) {
         0 => Request::PutBlock {
             key: arbitrary_key(rng),
-            bytes: {
-                let n = rng.usize_in(0, 4096);
-                rng.bytes(n)
-            },
+            bytes: arbitrary_bytes(rng),
         },
         1 => Request::GetBlock {
             key: arbitrary_key(rng),
@@ -45,15 +47,19 @@ fn arbitrary_request(rng: &mut TestRng) -> Request {
         5 => Request::Wipe,
         6 => Request::PutObject {
             name: arbitrary_name(rng),
-            bytes: {
-                let n = rng.usize_in(0, 4096);
-                rng.bytes(n)
-            },
+            object_len: rng.next_u64(),
+            bytes: arbitrary_bytes(rng),
         },
         7 => Request::GetObject {
             name: arbitrary_name(rng),
         },
         8 => Request::Stats,
+        9 => Request::PutChunk {
+            id: rng.next_u64(),
+            seq: rng.next_u64(),
+            bytes: arbitrary_bytes(rng),
+        },
+        10 => Request::GetChunk { id: rng.next_u64() },
         _ => Request::Ping,
     }
 }
@@ -66,16 +72,10 @@ fn arbitrary_ctx(rng: &mut TestRng) -> Option<TraceContext> {
 }
 
 fn arbitrary_response(rng: &mut TestRng) -> Response {
-    match rng.usize_in(0, 9) {
+    match rng.usize_in(0, 12) {
         0 => Response::Ok,
-        1 => {
-            let n = rng.usize_in(0, 4096);
-            Response::Blob(rng.bytes(n))
-        }
-        2 => {
-            let n = rng.usize_in(0, 4096);
-            Response::Block(rng.bytes(n))
-        }
+        1 => Response::Blob(arbitrary_bytes(rng)),
+        2 => Response::Block(arbitrary_bytes(rng)),
         3 => Response::Corrupt,
         4 => Response::Missing,
         5 => Response::Deleted(rng.u8() & 1 == 1),
@@ -96,6 +96,17 @@ fn arbitrary_response(rng: &mut TestRng) -> Response {
             let n = rng.usize_in(0, 1024);
             Response::Stats(rng.bytes(n))
         }
+        9 => Response::PutBegun { id: rng.next_u64() },
+        10 => Response::GetBegun {
+            id: rng.next_u64(),
+            object_len: rng.next_u64(),
+            bytes: arbitrary_bytes(rng),
+        },
+        11 => Response::Chunk {
+            id: rng.next_u64(),
+            eof: rng.u8() & 1 == 1,
+            bytes: arbitrary_bytes(rng),
+        },
         _ => Response::Err {
             kind: ErrorKind::from_code(rng.usize_in(0, 20) as u16),
             message: arbitrary_name(rng),

@@ -8,7 +8,7 @@ use galloper_codes::{build_code, CodeSpec};
 use galloper_dfs::{BlockGet, BlockKey, BlockStore, Dfs, MemStore};
 use galloper_net::{
     Conn, Daemon, DaemonHandle, ErrorKind, Gateway, GatewayHandle, RemoteStore, Request, Response,
-    WHOLE_OBJECT_MAX,
+    CHUNK_BYTES,
 };
 use galloper_obs::global;
 
@@ -100,6 +100,7 @@ fn gateway_roundtrips_objects_byte_exact() {
     let put = conn
         .call(&Request::PutObject {
             name: "a/b".into(),
+            object_len: bytes.len() as u64,
             bytes: bytes.clone(),
         })
         .expect("put");
@@ -127,12 +128,14 @@ fn gateway_errors_carry_stable_kinds() {
     }
     conn.call(&Request::PutObject {
         name: "dup".into(),
+        object_len: 3,
         bytes: vec![1, 2, 3],
     })
     .expect("put");
     match conn
         .call(&Request::PutObject {
             name: "dup".into(),
+            object_len: 1,
             bytes: vec![4],
         })
         .expect("re-put")
@@ -153,6 +156,7 @@ fn degraded_get_survives_daemon_kill_byte_exact() {
     let bytes = payload(250_000, 99);
     conn.call(&Request::PutObject {
         name: "survivor".into(),
+        object_len: bytes.len() as u64,
         bytes: bytes.clone(),
     })
     .expect("put");
@@ -176,6 +180,7 @@ fn concurrent_clients_read_consistently() {
     let bytes = payload(50_000, 3);
     conn.call(&Request::PutObject {
         name: "shared".into(),
+        object_len: bytes.len() as u64,
         bytes: bytes.clone(),
     })
     .expect("put");
@@ -206,112 +211,62 @@ fn concurrent_clients_read_consistently() {
     }
 }
 
-/// The tentpole e2e: objects straddling the old one-frame cap
-/// round-trip byte-exactly over the chunked plane, the gateway's
-/// buffering stays bounded by the coding-group window (not object
-/// size), and the old whole-frame GET gets a clean typed refusal
-/// instead of a doomed oversize frame.
+/// Objects straddling the chunk window round-trip byte-exactly: up to
+/// one window as one frame each way, past it as multi-frame sessions
+/// of the same state machine. The gateway's buffering stays bounded
+/// by the coding-group window, not the object size.
 #[test]
-fn chunked_transfer_roundtrips_objects_straddling_the_frame_cap() {
+fn chunked_transfer_roundtrips_objects_straddling_the_chunk_window() {
     // A wide stripe keeps group counts sane for 100-MiB-scale objects:
-    // message_len = 2 * 1 MiB per coding group.
+    // message_len = 2 * 1 MiB per coding group, so a get window is
+    // exactly CHUNK_BYTES.
     let (_daemons, _gateway, mut conn) = spawn_cluster_with(3, &CodeSpec::rs(2, 1, 1 << 20));
     let bytes_in = global().counter("net.gateway.stream.bytes_in");
     let bytes_out = global().counter("net.gateway.stream.bytes_out");
     let (in_before, out_before) = (bytes_in.get(), bytes_out.get());
 
-    // The old cap, straddled from both sides, plus a ragged ~160 MiB
+    // The window, straddled from both sides, plus a ragged ~160 MiB
     // object that is nowhere near a group boundary.
     let sizes = [
-        (64 << 20) - 1,
-        64 << 20,
-        (64 << 20) + 1,
+        CHUNK_BYTES - 1,
+        CHUNK_BYTES,
+        CHUNK_BYTES + 1,
         160 * (1 << 20) + 12_345,
     ];
-    let mut total = 0u64;
+    let mut multi_frame = 0u64;
     for (i, &n) in sizes.iter().enumerate() {
-        assert!(n > WHOLE_OBJECT_MAX, "size {n} must take the chunked path");
         let name = format!("big/{i}");
         let bytes = payload(n, 0xB16 + i as u64);
-        assert_eq!(
-            conn.put_object(&name, &bytes).expect("chunked put"),
-            Response::Ok
-        );
-        // An old-style whole-frame GET of an oversize object is a
-        // typed OutOfRange refusal — and the connection stays usable.
-        match conn
-            .call(&Request::GetObject { name: name.clone() })
-            .expect("whole-frame get")
-        {
-            Response::Err { kind, .. } => assert_eq!(kind, ErrorKind::OutOfRange),
-            other => panic!("expected oversize refusal, got {other:?}"),
-        }
-        match conn.get_object(&name).expect("chunked get") {
+        assert_eq!(conn.put_object(&name, &bytes).expect("put"), Response::Ok);
+        match conn.get_object(&name).expect("get") {
             Response::Blob(read) => {
                 assert!(read == bytes, "byte mismatch for {n}-byte object");
             }
             other => panic!("expected blob, got {other:?}"),
         }
-        total += n as u64;
+        if n > CHUNK_BYTES {
+            multi_frame += n as u64;
+        }
     }
 
-    // Every byte of every object crossed the chunked plane, twice.
-    assert!(bytes_in.get() - in_before >= total, "bytes_in undercounts");
+    // Every byte of every multi-frame object crossed a session, twice.
     assert!(
-        bytes_out.get() - out_before >= total,
+        bytes_in.get() - in_before >= multi_frame,
+        "bytes_in undercounts"
+    );
+    assert!(
+        bytes_out.get() - out_before >= multi_frame,
         "bytes_out undercounts"
     );
     // All transfers closed out.
     assert_eq!(global().gauge("net.gateway.stream.inflight").get(), 0);
     // Bounded memory: the encode pipeline's pool high-water stays a
-    // coding-group window, far below the smallest object streamed.
+    // coding-group window, far below the largest object streamed.
     let peak = global().gauge("stream.pool.resident_peak_bytes").get();
     assert!(
         peak > 0 && peak < 64 << 20,
         "gateway pool peak {peak} bytes is not bounded by the group window"
     );
-}
-
-/// Compat: a client that only speaks the historical whole-frame
-/// protocol — raw frames, no extensions — still round-trips small
-/// objects unchanged against the chunked-capable gateway.
-#[test]
-fn old_whole_frame_clients_still_roundtrip_small_objects() {
-    use std::io::{Read, Write};
-    let (_daemons, gateway, _conn) = spawn_cluster(3);
-    let mut raw = std::net::TcpStream::connect(gateway.addr()).expect("connect");
-    raw.set_read_timeout(Some(TIMEOUT)).expect("timeout");
-    let bytes = payload(30_000, 0x01d);
-    let exchange = |raw: &mut std::net::TcpStream, req: &Request| -> Response {
-        let frame = req.encode();
-        raw.write_all(&(frame.len() as u32).to_le_bytes())
-            .expect("header");
-        raw.write_all(&frame).expect("payload");
-        let mut header = [0u8; 4];
-        raw.read_exact(&mut header).expect("response header");
-        let mut payload = vec![0u8; u32::from_le_bytes(header) as usize];
-        raw.read_exact(&mut payload).expect("response payload");
-        Response::decode(&payload).expect("decodable response")
-    };
-    assert_eq!(
-        exchange(
-            &mut raw,
-            &Request::PutObject {
-                name: "legacy".into(),
-                bytes: bytes.clone(),
-            }
-        ),
-        Response::Ok
-    );
-    match exchange(
-        &mut raw,
-        &Request::GetObject {
-            name: "legacy".into(),
-        },
-    ) {
-        Response::Blob(read) => assert_eq!(read, bytes),
-        other => panic!("expected blob, got {other:?}"),
-    }
 }
 
 /// A connection that dies mid-frame must be poisoned and never

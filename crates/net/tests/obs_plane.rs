@@ -80,6 +80,7 @@ fn trace_context_stitches_client_gateway_and_daemon_spans_into_one_tree() {
     let put = conn
         .call(&Request::PutObject {
             name: "traced".into(),
+            object_len: bytes.len() as u64,
             bytes,
         })
         .expect("put");
@@ -271,6 +272,7 @@ fn gateway_stats_exposes_cluster_view_and_own_histograms() {
     let bytes = vec![3u8; 2048];
     conn.call(&Request::PutObject {
         name: "obj".into(),
+        object_len: bytes.len() as u64,
         bytes,
     })
     .expect("put");
